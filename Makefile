@@ -4,26 +4,20 @@ GO ?= go
 
 ## check: the full CI gate — lint (gofmt drift + vet), build, race-enabled
 ## tests (includes the corpus-wide determinism tests, the fresh-process
-## warm-restart tests, and the 16-goroutine fault/budget hammer), short
-## fuzzer smokes (including the disk- and peer-facing wire decoders), the
-## end-to-end daemon, fleet, and chaos smoke tests, and one-iteration
-## smokes of the incremental and persist benchmarks.
+## warm-restart tests, and the 16-goroutine fault/budget hammer), vet and
+## tests of the separate perfbench module (so an API change cannot break
+## the benchmark harness unseen), the short fuzzer smokes, the end-to-end
+## daemon, session, fleet, and chaos smoke tests, and one-iteration smokes
+## of the incremental, hotpath, persist, and sessions benchmarks.
 check: lint
 	$(GO) build ./...
 	$(GO) test -race ./...
-	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=5s ./internal/lang
-	$(GO) test -run=NONE -fuzz=FuzzAnalyze -fuzztime=5s .
-	$(GO) test -run=NONE -fuzz=FuzzDecodeEntry -fuzztime=5s ./internal/diskstore
-	$(GO) test -run=NONE -fuzz=FuzzDecodeSummary -fuzztime=5s ./internal/pta
-	$(GO) test -run=NONE -fuzz=FuzzDecodeVerdict -fuzztime=5s ./internal/smt
-	$(GO) test -run=NONE -fuzz=FuzzParseAnalyzeRequest -fuzztime=5s ./internal/api
-	$(GO) test -run=NONE -fuzz=FuzzParseGossip -fuzztime=5s ./internal/api
-	$(GO) test -run=NONE -fuzz=FuzzParseEditRequest -fuzztime=5s ./internal/api
-	$(GO) test -run=NONE -fuzz=FuzzDecodePeerEntry -fuzztime=5s ./internal/fleet
-	$(GO) run scripts/serve_smoke.go
-	$(GO) run scripts/sessions_smoke.go
-	$(GO) run scripts/fleet_smoke.go
-	$(GO) run scripts/chaos_smoke.go
+	cd perfbench && $(GO) vet . && $(GO) test .
+	$(MAKE) fuzz-smoke
+	$(MAKE) serve-smoke
+	$(MAKE) sessions-smoke
+	$(MAKE) fleet-smoke
+	$(MAKE) chaos-smoke
 	$(GO) run ./cmd/canary-bench -experiment incremental -incr-iters 1 -incr-lines 600 -json > /dev/null
 	$(MAKE) bench-hotpath-smoke
 	$(MAKE) bench-persist-smoke
@@ -52,7 +46,9 @@ vet:
 bench:
 	$(GO) test -run - -bench . -benchmem .
 
-## bench-json: regenerate the checked-in benchmark snapshots.
+## bench-json: regenerate the checked-in benchmark snapshots (the fleet
+## and chaos experiments spawn real canaryd workers by re-executing
+## canary-bench as "canary-bench canaryd").
 bench-json:
 	$(GO) run ./cmd/canary-bench -experiment incremental -json > BENCH_incremental.json
 	$(GO) run ./cmd/canary-bench -experiment hotpath -json > BENCH_hotpath.json
@@ -84,6 +80,9 @@ bench-sessions-smoke:
 	$(GO) run ./cmd/canary-bench -experiment sessions \
 		-sessions-lines 600 -sessions-edits 6 -json > /dev/null
 
+## The four *-smoke scripts below drive the real binaries over real HTTP
+## and real signals through one shared process harness (internal/e2e).
+
 ## serve-smoke: end-to-end canaryd exercise — random port, example
 ## submission vs CLI, cache replay, /healthz, /metrics, 413, queue-full
 ## backpressure with Retry-After, SIGTERM drain.
@@ -111,11 +110,16 @@ fleet-smoke:
 chaos-smoke:
 	$(GO) run scripts/chaos_smoke.go
 
-## fuzz-smoke: the short fuzzer passes run by check, including the two
-## fleet wire decoders (batch request envelope, peer cache entry).
+## fuzz-smoke: the short fuzzer passes run by check — the parser, the
+## whole pipeline, the disk- and peer-facing wire decoders (disk entry,
+## summary, verdict, peer cache entry), and the HTTP request envelopes
+## (analyze/batch, gossip, edit).
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=5s ./internal/lang
 	$(GO) test -run=NONE -fuzz=FuzzAnalyze -fuzztime=5s .
+	$(GO) test -run=NONE -fuzz=FuzzDecodeEntry -fuzztime=5s ./internal/diskstore
+	$(GO) test -run=NONE -fuzz=FuzzDecodeSummary -fuzztime=5s ./internal/pta
+	$(GO) test -run=NONE -fuzz=FuzzDecodeVerdict -fuzztime=5s ./internal/smt
 	$(GO) test -run=NONE -fuzz=FuzzParseAnalyzeRequest -fuzztime=5s ./internal/api
 	$(GO) test -run=NONE -fuzz=FuzzParseGossip -fuzztime=5s ./internal/api
 	$(GO) test -run=NONE -fuzz=FuzzParseEditRequest -fuzztime=5s ./internal/api

@@ -362,18 +362,19 @@ func BenchmarkCheckCached(b *testing.B) {
 	opt := DefaultOptions()
 	opt.Checkers = []string{CheckUseAfterFree}
 	opt.FactPropagation = false
-	a, err := NewAnalysis(workload.Generate(workload.SizeSweep(1, 2000, 2000)[0]), opt)
+	var cold *Session
+	a, err := cold.NewAnalysis(context.Background(), workload.Generate(workload.SizeSweep(1, 2000, 2000)[0]), opt)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := a.Check(); err != nil { // cold round: fills the cache
+	if _, err := a.Check(context.Background()); err != nil { // cold round: fills the cache
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	var hits, misses int
 	for i := 0; i < b.N; i++ {
-		res, err := a.Check()
+		res, err := a.Check(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -28,25 +28,20 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
 
-	"canary/internal/bitset"
 	"canary/internal/cache"
 	"canary/internal/core"
 	"canary/internal/digest"
-	"canary/internal/guard"
-	"canary/internal/ir"
-	"canary/internal/lang"
 	"canary/internal/pipeline"
 	"canary/internal/smt"
 )
 
 // ErrCanceled is wrapped into every error returned because a context
-// passed to AnalyzeContext, NewAnalysisContext, or CheckContext was
+// passed to Session.Analyze, Session.NewAnalysis, or Analysis.Check was
 // canceled or hit its deadline. Callers distinguish an aborted analysis
 // from a malformed program with errors.Is(err, ErrCanceled); the
 // underlying context cause (context.Canceled or context.DeadlineExceeded)
@@ -75,22 +70,6 @@ func wrapAbort(err error) error {
 		return canceled(err)
 	}
 	return fmt.Errorf("canary: %w", err)
-}
-
-// GuardInternStats returns the cumulative process-wide hit and miss counts
-// of the global guard hash-cons interner. Hits concentrate where structured
-// formulas are constructed repeatedly — lowering, Φ_ls/Φ_po encoding during
-// checking — and a repeated analysis of the same program interns with ~100%
-// hits. VFGStats.CacheHits is the per-build slice of this counter.
-func GuardInternStats() (hits, misses uint64) { return guard.InternStats() }
-
-// AllocStats reports process-wide counters for the integer-keyed hot-path
-// data structures: the number of live interned guard formulas (the hash-cons
-// table size), the cumulative uint64 words allocated by bitset-backed
-// points-to and location sets, and the number of formula evaluations served
-// through the batched assignment-slice evaluator instead of per-call maps.
-func AllocStats() (guardInterned int64, bitsetWords int64, batchedEvals uint64) {
-	return guard.InternedCount(), bitset.WordsAllocated(), guard.BatchedEvals()
 }
 
 // Checker names accepted in Options.Checkers.
@@ -423,8 +402,8 @@ type StageSpan struct {
 	Stage string
 	// Wall is the stage's wall-clock duration. The vfg span carries the
 	// build's residual (fixpoint merge and bookkeeping) — the datadep,
-	// interference, and mhp spans hold their own shares — so summing all
-	// spans approximates the whole analysis.
+	// interference, and mhp spans hold their own shares — so the spans
+	// partition the analysis and their sum never exceeds its wall time.
 	Wall time.Duration
 	// Steps counts the stage-defined work units consumed: functions
 	// re-summarized (pta), instructions lowered (lower), fixpoint
@@ -484,20 +463,6 @@ type Analysis struct {
 	keys map[string]cache.Key
 }
 
-// NewAnalysis parses and lowers src and builds the interference-aware VFG
-// once. Use Check to run (possibly several rounds of) checkers over it.
-func NewAnalysis(src string, opt Options) (*Analysis, error) {
-	return NewAnalysisContext(context.Background(), src, opt)
-}
-
-// NewAnalysisContext is NewAnalysis with cooperative cancellation: the VFG
-// fixpoint checks ctx between rounds and aborts with an error wrapping
-// ErrCanceled (and the context cause) when it is done.
-func NewAnalysisContext(ctx context.Context, src string, opt Options) (*Analysis, error) {
-	var s *Session
-	return s.NewAnalysisContext(ctx, src, opt)
-}
-
 func memoryModelOf(opt Options) (core.MemoryModel, error) {
 	switch opt.MemoryModel {
 	case "", "sc":
@@ -511,18 +476,13 @@ func memoryModelOf(opt Options) (core.MemoryModel, error) {
 }
 
 // Check runs the given checkers (nil = the Options' selection, which
-// defaults to all source–sink checkers) over the already-built VFG.
-func (a *Analysis) Check(checkers ...string) (*Result, error) {
-	return a.CheckContext(context.Background(), checkers...)
-}
-
-// CheckContext is Check with cooperative cancellation: ctx is consulted
-// between checkers and between source–sink searches. On cancellation the
-// partial reports are discarded and the returned error wraps ErrCanceled
-// and the context cause. A panic escaping the checking stage is recovered
-// into an error wrapping ErrInternal, after quarantining the program's
-// per-function summaries from the session.
-func (a *Analysis) CheckContext(ctx context.Context, checkers ...string) (res *Result, err error) {
+// defaults to all source–sink checkers) over the already-built VFG. ctx
+// is consulted between checkers and between source–sink searches: on
+// cancellation the partial reports are discarded and the returned error
+// wraps ErrCanceled and the context cause. A panic escaping the checking
+// stage is recovered into an error wrapping ErrInternal, after
+// quarantining the program's per-function summaries from the session.
+func (a *Analysis) Check(ctx context.Context, checkers ...string) (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			a.session.recordPanic(a.src)
@@ -566,23 +526,18 @@ func (a *Analysis) CheckContext(ctx context.Context, checkers ...string) (res *R
 	return a.result(reports, stats), nil
 }
 
-// WriteDot renders the built VFG in Graphviz DOT form.
+// WriteDot renders the built interference-aware value-flow graph in
+// Graphviz DOT form: objects as boxes, variable definitions as ellipses,
+// interference edges dashed (the paper's Fig. 2(b) notation).
 func (a *Analysis) WriteDot(w io.Writer) error { return a.b.G.WriteDot(w) }
 
 // Analyze parses, lowers, builds the interference-aware VFG, and runs the
-// selected checkers on src. For several checking rounds over one program,
-// use NewAnalysis + Check.
+// selected checkers on src, with no warm state. For cancellation, warm
+// stores, or several checking rounds over one program, use a Session
+// (Session.Analyze, Session.NewAnalysis + Analysis.Check).
 func Analyze(src string, opt Options) (*Result, error) {
-	return AnalyzeContext(context.Background(), src, opt)
-}
-
-// AnalyzeContext is Analyze with cooperative cancellation: both the VFG
-// fixpoint (between rounds) and the checking stage (between source–sink
-// searches) poll ctx, so a canceled or deadline-bounded analysis returns
-// promptly with an error wrapping ErrCanceled.
-func AnalyzeContext(ctx context.Context, src string, opt Options) (*Result, error) {
 	var s *Session
-	return s.AnalyzeContext(ctx, src, opt)
+	return s.Analyze(context.Background(), src, opt)
 }
 
 func (a *Analysis) result(reports []core.Report, stats core.CheckStats) *Result {
@@ -681,33 +636,4 @@ func (a *Analysis) result(reports []core.Report, stats core.CheckStats) *Result 
 		res.Reports = append(res.Reports, pub)
 	}
 	return res
-}
-
-// AnalyzeFile reads path and analyzes its contents.
-func AnalyzeFile(path string, opt Options) (*Result, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("canary: %w", err)
-	}
-	return Analyze(string(data), opt)
-}
-
-// WriteVFGDot builds the interference-aware value-flow graph of src and
-// writes it in Graphviz DOT form: objects as boxes, variable definitions
-// as ellipses, interference edges dashed (the paper's Fig. 2(b) notation).
-func WriteVFGDot(src string, opt Options, w io.Writer) error {
-	ast, err := lang.Parse(src)
-	if err != nil {
-		return fmt.Errorf("canary: %w", err)
-	}
-	prog, err := ir.Lower(ast, ir.Options{
-		UnrollDepth: opt.UnrollDepth,
-		InlineDepth: opt.InlineDepth,
-		Entry:       opt.Entry,
-	})
-	if err != nil {
-		return fmt.Errorf("canary: %w", err)
-	}
-	b := core.Build(prog, core.BuildOptions{EnableMHP: opt.EnableMHP, GuardCap: opt.GuardCap, Workers: opt.Workers})
-	return b.G.WriteDot(w)
 }

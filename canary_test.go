@@ -1,8 +1,7 @@
 package canary
 
 import (
-	"os"
-	"path/filepath"
+	"context"
 	"strings"
 	"testing"
 )
@@ -111,24 +110,6 @@ func TestAnalyzeMissingEntry(t *testing.T) {
 	}
 }
 
-func TestAnalyzeFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "prog.cn")
-	if err := os.WriteFile(path, []byte(buggy), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	res, err := AnalyzeFile(path, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Reports) != 1 {
-		t.Fatalf("want 1 report, got %d", len(res.Reports))
-	}
-	if _, err := AnalyzeFile(filepath.Join(dir, "nope.cn"), DefaultOptions()); err == nil {
-		t.Fatal("missing file should error")
-	}
-}
-
 func TestDataRaceAndDeadlockViaAPI(t *testing.T) {
 	racy := `
 func writer(cell) { v = malloc(); *cell = v; }
@@ -201,25 +182,26 @@ func TestAnalyzeParallelAndCube(t *testing.T) {
 
 func TestAnalysisReuse(t *testing.T) {
 	// One build, several checker rounds — the VFG is shared.
-	a, err := NewAnalysis(buggy, DefaultOptions())
+	ctx := context.Background()
+	a, err := NewSession().NewAnalysis(ctx, buggy, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	uaf, err := a.Check(CheckUseAfterFree)
+	uaf, err := a.Check(ctx, CheckUseAfterFree)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(uaf.Reports) != 1 {
 		t.Fatalf("uaf round: %d reports", len(uaf.Reports))
 	}
-	taint, err := a.Check(CheckTaintLeak)
+	taint, err := a.Check(ctx, CheckTaintLeak)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(taint.Reports) != 0 {
 		t.Fatalf("taint round should be clean: %v", taint.Reports)
 	}
-	races, err := a.Check(CheckDataRace)
+	races, err := a.Check(ctx, CheckDataRace)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +262,7 @@ func TestUnknownVerdictKeptAsPotentialBug(t *testing.T) {
 func TestBadMemoryModelRejectedEarly(t *testing.T) {
 	opt := DefaultOptions()
 	opt.MemoryModel = "alpha"
-	if _, err := NewAnalysis(buggy, opt); err == nil {
+	if _, err := NewSession().NewAnalysis(context.Background(), buggy, opt); err == nil {
 		t.Fatal("bad memory model must be rejected")
 	}
 }

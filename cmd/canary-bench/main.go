@@ -17,7 +17,9 @@
 //	canary-bench -experiment all
 //
 // -json replaces the text tables with one JSON object holding the raw
-// measurements of the selected experiments.
+// measurements of the selected experiments. "canary-bench canaryd
+// [flags]" runs canaryd itself, so the fleet and chaos experiments can
+// spawn real daemons from the one binary.
 //
 // Subject sizes and the per-tool timeout are scaled-down stand-ins for the
 // paper's testbed (see DESIGN.md); -scale and -timeout control them.
@@ -33,10 +35,16 @@ import (
 	"time"
 
 	"canary/internal/bench"
+	"canary/internal/server"
 	"canary/internal/workload"
 )
 
 func main() {
+	// "canary-bench canaryd <flags>" is canaryd itself: the fleet and
+	// chaos experiments spawn their workers by re-executing this binary.
+	if len(os.Args) > 1 && os.Args[1] == "canaryd" {
+		os.Exit(server.Main(os.Args[2:]))
+	}
 	var (
 		experiment = flag.String("experiment", "all", "fig7a | fig7b | fig8 | table1 | parallel | all")
 		scale      = flag.Float64("scale", 0.004, "lines per project LoC (subject size scale)")
@@ -65,14 +73,6 @@ func main() {
 		flLines    = flag.Int("fleet-lines", 1600, "subject size for the fleet experiment")
 		flItems    = flag.Int("fleet-items", 12, "corpus items in the fleet experiment")
 		flNodes    = flag.String("fleet-nodes", "1,2,4", "comma-separated fleet sizes to sweep")
-		flChild    = flag.Bool("fleet-child", false, "internal: run one canaryd worker process (used by -experiment fleet and chaos)")
-		flAddr     = flag.String("fleet-addr", "", "internal: listen address of a -fleet-child run")
-		flPeers    = flag.String("fleet-peers", "", "internal: peer URL list of a -fleet-child run")
-		flSelf     = flag.String("fleet-self", "", "internal: own URL of a -fleet-child run")
-		flJoin     = flag.String("fleet-join", "", "internal: membership seed URL list of a -fleet-child run (dynamic fleet)")
-		flGossip   = flag.Duration("fleet-gossip", 500*time.Millisecond, "internal: gossip interval of a -fleet-child run")
-		flDir      = flag.String("fleet-dir", "", "internal: persistent cache dir of a -fleet-child run")
-		flConc     = flag.Int("fleet-conc", 1, "internal: worker concurrency of a -fleet-child run")
 		chLines    = flag.Int("chaos-lines", 300, "subject size for the chaos experiment")
 		chItems    = flag.Int("chaos-items", 10, "corpus items streamed per chaos round")
 		chWorkers  = flag.Int("chaos-workers", 3, "worker processes in the chaos fleet")
@@ -86,9 +86,6 @@ func main() {
 
 	if *childMode {
 		os.Exit(bench.RunPersistChild(*childDir, *childSrc))
-	}
-	if *flChild {
-		os.Exit(bench.RunFleetChild(*flAddr, *flPeers, *flSelf, *flJoin, *flGossip, *flDir, *flConc))
 	}
 
 	e := &bench.Experiments{Timeout: *timeout}

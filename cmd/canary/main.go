@@ -23,6 +23,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -177,11 +178,13 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "canary:", err)
 		return 2
 	}
+	// One build serves both the checkers and -dot. A nil sess is the cold,
+	// session-less path.
+	ctx := context.Background()
 	var res *canary.Result
-	if sess != nil {
-		res, err = sess.Analyze(string(data), opt)
-	} else {
-		res, err = canary.Analyze(string(data), opt)
+	a, err := sess.NewAnalysis(ctx, string(data), opt)
+	if err == nil {
+		res, err = a.Check(ctx)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "canary:", err)
@@ -202,7 +205,7 @@ func run() int {
 			fmt.Fprintln(os.Stderr, "canary:", ferr)
 			return 2
 		}
-		if derr := canary.WriteVFGDot(string(data), opt, f); derr != nil {
+		if derr := a.WriteDot(f); derr != nil {
 			f.Close()
 			fmt.Fprintln(os.Stderr, "canary:", derr)
 			return 2
@@ -276,12 +279,12 @@ func run() int {
 			res.Check.SolverQueries, res.Check.SolverUnsat, res.Check.SearchTime, res.Check.SolveTime)
 		fmt.Printf("smt cache: %d hits, %d misses, %d trivial solves\n",
 			res.Check.CacheHits, res.Check.CacheMisses, res.Check.TrivialSolves)
-		gh, gm := canary.GuardInternStats()
-		fmt.Printf("guard interner: %d hits, %d misses (process-wide)\n", gh, gm)
-		gi, bw, be := canary.AllocStats()
-		fmt.Printf("allocations: %d interned formulas, %d bitset words, %d batched evals (process-wide)\n", gi, bw, be)
+		st := sess.Stats()
+		fmt.Printf("guard interner: %d hits, %d misses (process-wide)\n", st.GuardInternHits, st.GuardInternMisses)
+		fmt.Printf("allocations: %d interned formulas, %d bitset words, %d batched evals (process-wide)\n",
+			st.GuardInterned, st.BitsetWords, st.BatchedEvals)
 		if sess != nil {
-			ds := sess.DiskStats()
+			ds := st.Disk
 			fmt.Printf("disk store: %d hits, %d misses, %d writes, %d entries (%d bytes), %d corrupt, %d gc evictions, %d dropped writes\n",
 				ds.Hits, ds.Misses, ds.Writes, ds.Entries, ds.Bytes,
 				ds.CorruptEntries, ds.GCEvictions, ds.DroppedWrites)
@@ -298,11 +301,11 @@ func run() int {
 		// second run's stats show exactly how much work the digest-keyed
 		// summary store and the structural verdict store can absorb.
 		isess := canary.NewSession()
-		if _, ierr := isess.Analyze(string(data), opt); ierr != nil {
+		if _, ierr := isess.Analyze(ctx, string(data), opt); ierr != nil {
 			fmt.Fprintln(os.Stderr, "canary:", ierr)
 			return 2
 		}
-		warm, ierr := isess.Analyze(string(data), opt)
+		warm, ierr := isess.Analyze(ctx, string(data), opt)
 		if ierr != nil {
 			fmt.Fprintln(os.Stderr, "canary:", ierr)
 			return 2

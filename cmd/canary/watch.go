@@ -33,7 +33,7 @@ func runWatch(path string, sess *canary.Session, opt canary.Options, poll time.D
 	mtime, size := st.ModTime(), st.Size()
 
 	start := time.Now()
-	live, delta, err := sess.Open(string(data), opt)
+	live, delta, err := sess.OpenLive(context.Background(), string(data), opt, canary.LiveConfig{})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "canary:", err)
 		return 2

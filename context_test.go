@@ -28,7 +28,8 @@ func worker(y) {
 func TestAnalyzeContextCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := AnalyzeContext(ctx, ctxTestProgram, DefaultOptions())
+	var cold *Session
+	res, err := cold.Analyze(ctx, ctxTestProgram, DefaultOptions())
 	if res != nil {
 		t.Fatalf("canceled analysis returned a result: %+v", res)
 	}
@@ -45,7 +46,8 @@ func TestAnalyzeContextCanceled(t *testing.T) {
 func TestAnalyzeContextDeadline(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	_, err := AnalyzeContext(ctx, ctxTestProgram, DefaultOptions())
+	var cold *Session
+	_, err := cold.Analyze(ctx, ctxTestProgram, DefaultOptions())
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("want ErrCanceled, got %v", err)
 	}
@@ -57,17 +59,18 @@ func TestAnalyzeContextDeadline(t *testing.T) {
 // TestCheckContextCanceled exercises the checking-stage checkpoints over an
 // already-built VFG.
 func TestCheckContextCanceled(t *testing.T) {
-	a, err := NewAnalysis(ctxTestProgram, DefaultOptions())
+	var cold *Session
+	a, err := cold.NewAnalysis(context.Background(), ctxTestProgram, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := a.CheckContext(ctx); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("want ErrCanceled from CheckContext, got %v", err)
+	if _, err := a.Check(ctx); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("want ErrCanceled from Check, got %v", err)
 	}
 	// The analysis is reusable after a canceled round.
-	res, err := a.Check()
+	res, err := a.Check(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,25 +86,25 @@ func TestCheckContextCanceled(t *testing.T) {
 // byte-identical to its cold run.
 func TestWarmSessionCancellation(t *testing.T) {
 	sess := NewSession()
-	cold, err := sess.Analyze(ctxTestProgram, DefaultOptions())
+	cold, err := sess.Analyze(context.Background(), ctxTestProgram, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	if _, err := sess.AnalyzeContext(ctx, ctxTestProgram, DefaultOptions()); !errors.Is(err, ErrCanceled) {
+	if _, err := sess.Analyze(ctx, ctxTestProgram, DefaultOptions()); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("warm build: want ErrCanceled, got %v", err)
 	}
-	a, err := sess.NewAnalysis(ctxTestProgram, DefaultOptions())
+	a, err := sess.NewAnalysis(context.Background(), ctxTestProgram, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.CheckContext(ctx); !errors.Is(err, ErrCanceled) {
+	if _, err := a.Check(ctx); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("warm recheck: want ErrCanceled, got %v", err)
 	}
 
-	warm, err := sess.Analyze(ctxTestProgram, DefaultOptions())
+	warm, err := sess.Analyze(context.Background(), ctxTestProgram, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,10 +120,12 @@ func TestWarmSessionCancellation(t *testing.T) {
 	}
 }
 
-// TestAnalyzeContextBackground asserts the context-free path is unchanged:
-// Analyze delegates to AnalyzeContext with context.Background().
+// TestAnalyzeContextBackground asserts the session path under
+// context.Background() — the path package-level Analyze delegates to —
+// runs the analysis to completion.
 func TestAnalyzeContextBackground(t *testing.T) {
-	res, err := AnalyzeContext(context.Background(), ctxTestProgram, DefaultOptions())
+	var cold *Session
+	res, err := cold.Analyze(context.Background(), ctxTestProgram, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package canary
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -94,7 +95,7 @@ func TestInjectedErrorsSurfaceTyped(t *testing.T) {
 			if err := failpoint.Enable(site, "error"); err != nil {
 				t.Fatal(err)
 			}
-			res, err := NewSession().Analyze(src, fiOptions())
+			res, err := NewSession().Analyze(context.Background(), src, fiOptions())
 			hits := failpoint.Hits(site)
 			failpoint.Reset()
 			if hits == 0 {
@@ -128,7 +129,7 @@ func TestInjectedErrorsSurfaceTyped(t *testing.T) {
 				// The faultless run of the same program must match the
 				// faulted one byte for byte: a degraded cache layer may
 				// cost work, never output.
-				clean, cerr := NewSession().Analyze(src, fiOptions())
+				clean, cerr := NewSession().Analyze(context.Background(), src, fiOptions())
 				if cerr != nil {
 					t.Fatal(cerr)
 				}
@@ -166,12 +167,12 @@ func TestInjectedPanicsAreRecovered(t *testing.T) {
 			}
 			defer failpoint.Reset()
 			sess := NewSession()
-			res, err := sess.Analyze(src, fiOptions())
+			res, err := sess.Analyze(context.Background(), src, fiOptions())
 			if isBuild {
 				if !errors.Is(err, ErrInternal) {
 					t.Fatalf("build-stage panic must wrap ErrInternal, got %v", err)
 				}
-				if sess.PanicsRecovered() == 0 {
+				if sess.Stats().PanicsRecovered == 0 {
 					t.Error("session did not count the recovered panic")
 				}
 			} else {
@@ -204,7 +205,7 @@ func TestQuarantineRestoresWarmDeterminism(t *testing.T) {
 	failpoint.Reset()
 	src := fiProgram("fiQuar")
 	sess := NewSession()
-	cold, err := sess.Analyze(src, fiOptions())
+	cold, err := sess.Analyze(context.Background(), src, fiOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,20 +213,20 @@ func TestQuarantineRestoresWarmDeterminism(t *testing.T) {
 	if err := failpoint.Enable(failpoint.SiteBuildFixpoint, "panic"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.Analyze(src, fiOptions()); !errors.Is(err, ErrInternal) {
+	if _, err := sess.Analyze(context.Background(), src, fiOptions()); !errors.Is(err, ErrInternal) {
 		t.Fatalf("want ErrInternal from the poisoned run, got %v", err)
 	}
 	failpoint.Reset()
-	if sess.QuarantinedSummaries() == 0 {
+	if sess.Stats().QuarantinedSummaries == 0 {
 		t.Fatal("the recovered panic quarantined nothing")
 	}
 
-	hitsBefore, _ := sess.SummaryStats()
-	warm, err := sess.Analyze(src, fiOptions())
+	hitsBefore := sess.Stats().SummaryHits
+	warm, err := sess.Analyze(context.Background(), src, fiOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	hitsAfter, _ := sess.SummaryStats()
+	hitsAfter := sess.Stats().SummaryHits
 	if hitsAfter != hitsBefore {
 		t.Errorf("post-quarantine run reused %d summaries; quarantine failed to evict",
 			hitsAfter-hitsBefore)
@@ -282,7 +283,7 @@ func TestFaultAndBudgetHammer(t *testing.T) {
 			opt.Budgets = Budgets{MaxFixpointRounds: 2, MaxDFSSteps: 40, MaxFormulaNodes: 12}
 			opt.Workers = 1 + g%4
 			for i := 0; i < 6; i++ {
-				_, err := sess.Analyze(sources[(g*7+i)%len(sources)], opt)
+				_, err := sess.Analyze(context.Background(), sources[(g*7+i)%len(sources)], opt)
 				if err != nil && !errors.Is(err, failpoint.ErrInjected) && !errors.Is(err, ErrInternal) {
 					t.Errorf("goroutine %d run %d: unclassified error %v", g, i, err)
 				}
@@ -302,7 +303,7 @@ func primePersistent(t *testing.T, dir, src string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sess.Analyze(src, fiOptions())
+	res, err := sess.Analyze(context.Background(), src, fiOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +334,7 @@ func TestInjectedDiskFaultsDegrade(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer sess.Close()
-		res, err := sess.Analyze(src, fiOptions())
+		res, err := sess.Analyze(context.Background(), src, fiOptions())
 		if err != nil {
 			t.Fatalf("injected read fault must degrade to a miss, not abort: %v", err)
 		}
@@ -343,7 +344,7 @@ func TestInjectedDiskFaultsDegrade(t *testing.T) {
 		if got := renderReports(res); got != want {
 			t.Fatalf("read fault changed the output:\n--- clean:\n%s\n--- faulted:\n%s", want, got)
 		}
-		if ds := sess.DiskStats(); ds.Hits != 0 {
+		if ds := sess.Stats().Disk; ds.Hits != 0 {
 			t.Errorf("every read was faulted, yet %d disk hits", ds.Hits)
 		}
 	})
@@ -361,7 +362,7 @@ func TestInjectedDiskFaultsDegrade(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer sess.Close()
-		res, err := sess.Analyze(src, fiOptions())
+		res, err := sess.Analyze(context.Background(), src, fiOptions())
 		if err != nil {
 			t.Fatalf("injected bit flip must degrade to a miss, not abort: %v", err)
 		}
@@ -371,7 +372,7 @@ func TestInjectedDiskFaultsDegrade(t *testing.T) {
 		if got := renderReports(res); got != want {
 			t.Fatalf("bit flip changed the output:\n--- clean:\n%s\n--- faulted:\n%s", want, got)
 		}
-		ds := sess.DiskStats()
+		ds := sess.Stats().Disk
 		if ds.CorruptEntries == 0 {
 			t.Error("checksum trailer caught no flipped entry")
 		}
@@ -393,7 +394,7 @@ func TestInjectedDiskFaultsDegrade(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res1, err := s1.Analyze(src, fiOptions())
+		res1, err := s1.Analyze(context.Background(), src, fiOptions())
 		if err != nil {
 			t.Fatalf("injected write fault must be invisible, not abort: %v", err)
 		}
@@ -401,7 +402,7 @@ func TestInjectedDiskFaultsDegrade(t *testing.T) {
 		if failpoint.Hits(failpoint.SiteDiskWrite) == 0 {
 			t.Fatal("disk-write site was never reached")
 		}
-		if ds := s1.DiskStats(); ds.Entries != 0 || ds.Writes != 0 {
+		if ds := s1.Stats().Disk; ds.Entries != 0 || ds.Writes != 0 {
 			t.Fatalf("faulted writes still landed: %+v", ds)
 		}
 		if err := s1.Close(); err != nil {
@@ -414,7 +415,7 @@ func TestInjectedDiskFaultsDegrade(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer s2.Close()
-		res2, err := s2.Analyze(src, fiOptions())
+		res2, err := s2.Analyze(context.Background(), src, fiOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -462,14 +463,14 @@ func TestBitRotOnDiskDegradesToRecompute(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sess.Close()
-	res, err := sess.Analyze(src, fiOptions())
+	res, err := sess.Analyze(context.Background(), src, fiOptions())
 	if err != nil {
 		t.Fatalf("bit rot must degrade to recompute, not abort: %v", err)
 	}
 	if got := renderReports(res); got != want {
 		t.Fatalf("bit rot changed the output:\n--- clean:\n%s\n--- rotted:\n%s", want, got)
 	}
-	ds := sess.DiskStats()
+	ds := sess.Stats().Disk
 	if ds.CorruptEntries == 0 {
 		t.Error("no corruption was detected despite flipping every entry")
 	}

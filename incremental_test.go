@@ -1,6 +1,7 @@
 package canary
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -64,10 +65,10 @@ func TestIncrementalDeterminism(t *testing.T) {
 				t.Fatal(err)
 			}
 			sess := NewSession()
-			if _, err := sess.Analyze(orig, opt); err != nil {
+			if _, err := sess.Analyze(context.Background(), orig, opt); err != nil {
 				t.Fatal(err)
 			}
-			warm, err := sess.Analyze(edited, opt)
+			warm, err := sess.Analyze(context.Background(), edited, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -139,7 +140,7 @@ func TestIncrementalRaceHammer(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < len(variants); i++ {
 				v := variants[(i+w)%len(variants)]
-				res, err := sess.Analyze(v.src, opt)
+				res, err := sess.Analyze(context.Background(), v.src, opt)
 				if err != nil {
 					errs <- err
 					return

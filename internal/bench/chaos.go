@@ -1,20 +1,16 @@
 package bench
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"os"
-	"os/exec"
-	"strings"
 	"syscall"
 	"time"
 
-	"canary"
 	"canary/internal/api"
+	"canary/internal/e2e"
 	"canary/internal/fleet"
 	"canary/internal/membership"
 	"canary/internal/workload"
@@ -74,118 +70,16 @@ type ChaosResult struct {
 // still catching a protocol that converges by accident of timeouts.
 const chaosHeartbeatBound = 120
 
-// chaosWorker is one spawned fleet-child plus what is needed to kill
-// and resurrect it.
-type chaosWorker struct {
-	url  string
-	addr string
-	dir  string
-	cmd  *exec.Cmd
-}
-
-// spawnChaosWorker starts one -fleet-child in dynamic-membership mode
-// and waits for its listening line. extraEnv entries (e.g. a
-// CANARY_FAILPOINTS arming) are appended to the inherited environment.
-func spawnChaosWorker(exe, addr string, seeds []string, gossip time.Duration, dir string, extraEnv []string) (*chaosWorker, error) {
-	cmd := exec.Command(exe, "-fleet-child",
-		"-fleet-addr", addr,
-		"-fleet-self", "http://"+addr,
-		"-fleet-join", strings.Join(seeds, ","),
-		"-fleet-gossip", gossip.String(),
-		"-fleet-dir", dir,
-		"-fleet-conc", "1")
-	cmd.Stderr = os.Stderr
-	if len(extraEnv) > 0 {
-		cmd.Env = append(os.Environ(), extraEnv...)
-	}
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		return nil, err
-	}
-	if err := cmd.Start(); err != nil {
-		return nil, err
-	}
-	buf := make([]byte, 256)
-	n, err := stdout.Read(buf)
-	if err != nil || !strings.Contains(string(buf[:n]), "listening on") {
-		cmd.Process.Kill()
-		cmd.Wait()
-		return nil, fmt.Errorf("chaos worker %s did not come up: %q (%v)", addr, buf[:n], err)
-	}
-	go io.Copy(io.Discard, stdout)
-	return &chaosWorker{url: "http://" + addr, addr: addr, dir: dir, cmd: cmd}, nil
-}
-
-func (w *chaosWorker) sigkill() {
-	w.cmd.Process.Kill()
-	w.cmd.Wait()
-}
-
-// streamOne submits one single-item request through the router with a
-// budget of exactly one retry: a retryable answer (transport error,
-// 502, 503, 504) is retried once after honoring Retry-After; a second
-// failure is a lost item. Returns the findings, how many retries were
-// spent, and whether the item was lost.
-func streamOne(hc *http.Client, routerURL, src string) (findings string, retries int, lost bool) {
-	body, _ := json.Marshal(api.AnalyzeRequest{Source: src})
-	for attempt := 0; attempt < 2; attempt++ {
-		resp, err := hc.Post(routerURL+"/v1/analyze", "application/json", bytes.NewReader(body))
-		if err != nil {
-			if attempt == 0 {
-				retries++
-				time.Sleep(250 * time.Millisecond)
-				continue
-			}
-			return "", retries, true
-		}
-		respBody, readErr := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-		resp.Body.Close()
-		retryable := readErr != nil ||
-			resp.StatusCode == http.StatusBadGateway ||
-			resp.StatusCode == http.StatusServiceUnavailable ||
-			resp.StatusCode == http.StatusGatewayTimeout
-		if retryable {
-			if attempt == 0 {
-				retries++
-				wait := 250 * time.Millisecond
-				if ra := resp.Header.Get("Retry-After"); ra != "" {
-					if d, err := time.ParseDuration(ra + "s"); err == nil && d > 0 && d < 5*time.Second {
-						wait = d
-					}
-				}
-				time.Sleep(wait)
-				continue
-			}
-			return "", retries, true
-		}
-		if resp.StatusCode != http.StatusOK {
-			// A non-retryable refusal (4xx) of a valid source is a lost
-			// item: the harness only submits well-formed programs.
-			return "", retries, true
-		}
-		var jr api.JobResponse
-		if err := json.Unmarshal(respBody, &jr); err != nil || jr.Status != "done" {
-			return "", retries, true
-		}
-		f, err := findingsOf(jr.Result)
-		if err != nil {
-			return "", retries, true
-		}
-		return f, retries, false
-	}
-	return "", retries, true
-}
-
 // streamCorpus runs the whole corpus through the router, comparing
 // every answer against the direct baseline.
-func streamCorpus(hc *http.Client, routerURL string, corpus []api.AnalyzeItem, direct []string) ChaosRound {
+func streamCorpus(routerURL string, corpus []api.AnalyzeItem, direct []string) ChaosRound {
 	r := ChaosRound{Items: len(corpus), Identical: true}
 	t0 := time.Now()
 	for i, it := range corpus {
-		f, retries, lost := streamOne(hc, routerURL, it.Source)
+		f, retries, err := e2e.StreamOne(routerURL, it.Source)
 		r.Retries += retries
 		switch {
-		case lost:
+		case err != nil:
 			r.Lost++
 		case f != direct[i]:
 			r.Divergent++
@@ -204,25 +98,30 @@ func streamCorpus(hc *http.Client, routerURL string, corpus []api.AnalyzeItem, d
 // waitRingLen polls the router's ring until it holds want members,
 // returning the wait in gossip heartbeats (-1 on timeout).
 func waitRingLen(rt *fleet.Router, want int, gossip, timeout time.Duration) float64 {
-	t0 := time.Now()
-	deadline := t0.Add(timeout)
-	for time.Now().Before(deadline) {
-		if rt.Ring().Len() == want {
-			return float64(time.Since(t0)) / float64(gossip)
-		}
-		time.Sleep(gossip / 4)
-	}
-	return -1
+	return waitHeartbeats(gossip, timeout, func() bool { return rt.Ring().Len() == want })
 }
 
-// memberState reads the router's view of one member.
-func memberState(rt *fleet.Router, id string) (membership.State, bool) {
-	for _, m := range rt.Members() {
-		if m.ID == id {
-			return m.State, true
+// waitMemberState polls the router's view of member id until it is in
+// state st, returning the wait in gossip heartbeats (-1 on timeout).
+func waitMemberState(rt *fleet.Router, id string, st membership.State, gossip, timeout time.Duration) float64 {
+	return waitHeartbeats(gossip, timeout, func() bool {
+		for _, m := range rt.Members() {
+			if m.ID == id {
+				return m.State == st
+			}
 		}
+		return false
+	})
+}
+
+// waitHeartbeats polls cond four times a heartbeat and returns the wait
+// in gossip heartbeats (-1 on timeout).
+func waitHeartbeats(gossip, timeout time.Duration, cond func() bool) float64 {
+	waited, ok := e2e.Poll(timeout, gossip/4, cond)
+	if !ok {
+		return -1
 	}
-	return 0, false
+	return float64(waited) / float64(gossip)
 }
 
 // RunChaos runs the chaos experiment: workers spawned as real
@@ -255,16 +154,9 @@ func (e *Experiments) RunChaos(spec workload.Spec, items, workers int, gossip ti
 		corpus[i] = api.AnalyzeItem{
 			Source: fmt.Sprintf("%s\nfunc chaospad%d() { p%d = malloc(); }", base, i, i),
 		}
-		r, err := canary.Analyze(corpus[i].Source, fleetOptions())
-		if err != nil {
+		var err error
+		if direct[i], err = e2e.DirectFindings(corpus[i].Source, fleetOptions()); err != nil {
 			return res, fmt.Errorf("direct baseline item %d: %w", i, err)
-		}
-		raw, err := json.Marshal(r)
-		if err != nil {
-			return res, err
-		}
-		if direct[i], err = findingsOf(raw); err != nil {
-			return res, err
 		}
 	}
 
@@ -275,34 +167,28 @@ func (e *Experiments) RunChaos(spec workload.Spec, items, workers int, gossip ti
 		return res, err
 	}
 	defer os.RemoveAll(tmp)
-	addrs := make([]string, workers)
+	addrs, err := e2e.FreeAddrs(workers)
+	if err != nil {
+		return res, err
+	}
 	seeds := make([]string, workers)
-	dirs := make([]string, workers)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return res, err
-		}
-		addrs[i] = ln.Addr().String()
-		ln.Close()
-		seeds[i] = "http://" + addrs[i]
-		dirs[i] = fmt.Sprintf("%s/w%d", tmp, i)
+	for i, a := range addrs {
+		seeds[i] = "http://" + a
+	}
+	worker := func(i int) fleetWorker {
+		return fleetWorker{addr: addrs[i], join: seeds, gossip: gossip, dir: fmt.Sprintf("%s/w%d", tmp, i)}
 	}
 
-	procs := make([]*chaosWorker, workers)
+	procs := make([]*e2e.Proc, workers)
 	defer func() {
 		for _, p := range procs {
-			if p != nil {
-				p.sigkill()
-			}
+			p.Kill()
 		}
 	}()
 	for i := range procs {
-		w, err := spawnChaosWorker(exe, addrs[i], seeds, gossip, dirs[i], nil)
-		if err != nil {
+		if procs[i], err = worker(i).start(exe); err != nil {
 			return res, err
 		}
-		procs[i] = w
 	}
 
 	// The router: listener first so its advertised identity is real,
@@ -330,7 +216,6 @@ func (e *Experiments) RunChaos(spec workload.Spec, items, workers int, gossip ti
 	go hs.Serve(rln)
 	defer hs.Close()
 	routerURL := "http://" + rln.Addr().String()
-	hc := &http.Client{Timeout: 2 * time.Minute}
 
 	record := func(name string, r ChaosRound, hb float64) {
 		r.Name = name
@@ -355,71 +240,45 @@ func (e *Experiments) RunChaos(spec workload.Spec, items, workers int, gossip ti
 	if hb < 0 {
 		return res, fmt.Errorf("router never learned the %d-worker fleet", workers)
 	}
-	record("baseline", streamCorpus(hc, routerURL, corpus, direct), hb)
+	record("baseline", streamCorpus(routerURL, corpus, direct), hb)
 
 	// Round 1 — SIGKILL: a worker dies mid-corpus with no goodbye. The
 	// stream must survive on failover; the ring must then shrink.
-	victim := procs[1]
-	victim.sigkill()
-	procs[1] = nil
-	round := streamCorpus(hc, routerURL, corpus, direct)
+	procs[1].Kill()
+	round := streamCorpus(routerURL, corpus, direct)
 	hb = waitRingLen(rt, workers-1, gossip, 60*time.Second)
 	record("sigkill", round, hb)
 
 	// Round 2 — rejoin: the same identity restarts (incarnation 0, warm
 	// disk store) and must refute its own death and retake its shard.
-	w, err := spawnChaosWorker(exe, addrs[1], seeds, gossip, dirs[1], nil)
-	if err != nil {
+	if procs[1], err = worker(1).start(exe); err != nil {
 		return res, fmt.Errorf("rejoin respawn: %w", err)
 	}
-	procs[1] = w
 	hb = waitRingLen(rt, workers, gossip, 60*time.Second)
-	record("rejoin", streamCorpus(hc, routerURL, corpus, direct), hb)
+	record("rejoin", streamCorpus(routerURL, corpus, direct), hb)
 
 	// Round 3 — pause: SIGSTOP exercises the suspect state (silent but
 	// not dead: stays in the ring, requests hedge or fail over). After
 	// SIGCONT direct contact must resurrect it without a restart.
 	paused := procs[2]
-	syscall.Kill(paused.cmd.Process.Pid, syscall.SIGSTOP)
-	suspectDeadline := time.Now().Add(60 * time.Second)
-	for {
-		if st, ok := memberState(rt, paused.url); ok && st == membership.Suspect {
-			res.SuspectObserved = true
-			break
-		}
-		if time.Now().After(suspectDeadline) {
-			break
-		}
-		time.Sleep(gossip / 2)
-	}
-	round = streamCorpus(hc, routerURL, corpus, direct)
-	syscall.Kill(paused.cmd.Process.Pid, syscall.SIGCONT)
-	aliveDeadline := time.Now().Add(60 * time.Second)
-	t0 := time.Now()
-	hb = -1
-	for time.Now().Before(aliveDeadline) {
-		if st, ok := memberState(rt, paused.url); ok && st == membership.Alive {
-			hb = float64(time.Since(t0)) / float64(gossip)
-			break
-		}
-		time.Sleep(gossip / 2)
-	}
+	paused.Cmd.Process.Signal(syscall.SIGSTOP)
+	res.SuspectObserved = waitMemberState(rt, paused.URL(), membership.Suspect, gossip, 60*time.Second) >= 0
+	round = streamCorpus(routerURL, corpus, direct)
+	paused.Cmd.Process.Signal(syscall.SIGCONT)
+	hb = waitMemberState(rt, paused.URL(), membership.Alive, gossip, 60*time.Second)
 	record("pause", round, hb)
 
 	// Round 4 — failpoint storm: a worker restarts with its peer-cache
 	// and disk-store sites injecting intermittent faults. Degradation
 	// paths (peer miss → local compute, disk miss → recompute) must
 	// keep the findings byte-identical.
-	procs[0].sigkill()
-	procs[0] = nil
+	procs[0].Kill()
 	storm := "CANARY_FAILPOINTS=peer-fetch=error@2;disk-read=error@2;disk-write=error@3;cache-read=error@5"
-	w, err = spawnChaosWorker(exe, addrs[0], seeds, gossip, dirs[0], []string{storm})
-	if err != nil {
+	if procs[0], err = worker(0).start(exe, storm); err != nil {
 		return res, fmt.Errorf("storm respawn: %w", err)
 	}
-	procs[0] = w
 	hb = waitRingLen(rt, workers, gossip, 60*time.Second)
-	record("storm", streamCorpus(hc, routerURL, corpus, direct), hb)
+	record("storm", streamCorpus(routerURL, corpus, direct), hb)
 
 	res.RouterStats = rt.Stats()
 	res.BreakerOpensTotal = rt.Stats().BreakerOpens

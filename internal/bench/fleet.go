@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -10,14 +8,15 @@ import (
 	"net/http"
 	"os"
 	"os/exec"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"canary"
 	"canary/internal/api"
+	"canary/internal/e2e"
 	"canary/internal/fleet"
-	"canary/internal/server"
 	"canary/internal/workload"
 )
 
@@ -77,175 +76,84 @@ func fleetOptions() canary.Options {
 	return opt
 }
 
-// RunFleetChild is the body of a -fleet-child process: one canaryd
-// worker on addr — peer-aware when peers is non-empty (static fleet),
-// or gossiping when join is non-empty (dynamic fleet, the chaos
-// harness's mode). A non-empty dir gives the worker a persistent disk
-// store, so a killed-and-restarted worker comes back warm. The first
-// stdout line is "fleet-child listening on <addr>"; the process serves
-// until killed. Binding retries briefly: the parent pre-allocates
-// ports by listen-and-close, and this child may race the close.
-func RunFleetChild(addr, peers, self, join string, gossip time.Duration, dir string, conc int) int {
-	splitURLs := func(s string) (out []string) {
-		for _, p := range strings.Split(s, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				out = append(out, p)
-			}
-		}
-		return out
-	}
-	cfg := server.Config{
-		MaxConcurrent: conc,
-		QueueDepth:    api.MaxBatchItems,
-		Options:       fleetOptions(),
-		NodeID:        addr,
-		CacheDir:      dir,
-	}
-	if join != "" {
-		cfg.Join = splitURLs(join)
-		cfg.Advertise = self
-		cfg.GossipInterval = gossip
-	} else {
-		cfg.Peers = splitURLs(peers)
-		cfg.PeerSelf = self
-	}
-	srv, err := server.New(cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fleet-child:", err)
-		return 2
-	}
-	var ln net.Listener
-	for i := 0; i < 100; i++ {
-		if ln, err = net.Listen("tcp", addr); err == nil {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fleet-child:", err)
-		return 2
-	}
-	fmt.Printf("fleet-child listening on %s\n", ln.Addr())
-	if err := http.Serve(ln, srv.Handler()); err != nil {
-		fmt.Fprintln(os.Stderr, "fleet-child:", err)
-		return 2
-	}
-	return 0
+// fleetWorker is one fleet or chaos worker: a real canaryd process,
+// spawned by re-executing the bench binary as "canary-bench canaryd".
+type fleetWorker struct {
+	addr string
+	// peers wires a static fleet: every member's URL, this one included.
+	peers []string
+	// join switches to gossip membership: the seed URLs, heartbeating
+	// every gossip.
+	join   []string
+	gossip time.Duration
+	// dir, when set, gives the worker a persistent disk store, so a
+	// killed-and-restarted worker comes back warm.
+	dir string
 }
 
-// fleetWorkerProc is one spawned child daemon.
-type fleetWorkerProc struct {
-	url string
-	cmd *exec.Cmd
+// args is the worker's canaryd command line: single-threaded analyses
+// (fleetOptions), one job at a time, a queue that admits a whole batch,
+// the address as identity, and — for the timeouts and capacities the
+// experiments never chose — the server's own defaults rather than
+// canaryd's flag defaults.
+func (w fleetWorker) args() []string {
+	self := "http://" + w.addr
+	args := []string{
+		"-addr", w.addr, "-node-id", w.addr,
+		"-workers", "1", "-max-concurrent", "1", "-queue-depth", strconv.Itoa(api.MaxBatchItems),
+		"-job-timeout", "0", "-cache-entries", "0", "-peer-timeout", "0",
+		"-cache-dir", w.dir,
+	}
+	if len(w.join) > 0 {
+		return append(args, "-join", strings.Join(w.join, ","), "-advertise", self,
+			"-gossip-interval", w.gossip.String())
+	}
+	return append(args, "-peers", strings.Join(w.peers, ","), "-peer-self", self,
+		"-gossip-interval", "0")
 }
 
-// spawnFleet pre-allocates n loopback ports, starts n -fleet-child
-// processes wired to each other as peers, and waits for each to report
-// its listening line.
-func spawnFleet(exe string, n, conc int) ([]fleetWorkerProc, func(), error) {
-	addrs := make([]string, n)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, nil, err
-		}
-		addrs[i] = ln.Addr().String()
-		ln.Close()
+// start spawns the worker from exe, extraEnv entries (e.g. a
+// CANARY_FAILPOINTS arming) appended to the inherited environment.
+func (w fleetWorker) start(exe string, extraEnv ...string) (*e2e.Proc, error) {
+	cmd := exec.Command(exe, append([]string{"canaryd"}, w.args()...)...)
+	if len(extraEnv) > 0 {
+		cmd.Env = append(os.Environ(), extraEnv...)
+	}
+	return e2e.Start(cmd, "canaryd listening on ")
+}
+
+// spawnFleet starts n workers wired to each other as static peers.
+func spawnFleet(exe string, n int) ([]*e2e.Proc, func(), error) {
+	addrs, err := e2e.FreeAddrs(n)
+	if err != nil {
+		return nil, nil, err
 	}
 	urls := make([]string, n)
 	for i, a := range addrs {
 		urls[i] = "http://" + a
 	}
-	peers := strings.Join(urls, ",")
-
-	procs := make([]fleetWorkerProc, 0, n)
+	var procs []*e2e.Proc
 	kill := func() {
 		for _, p := range procs {
-			p.cmd.Process.Kill()
-			p.cmd.Wait()
+			p.Kill()
 		}
 	}
-	for i := 0; i < n; i++ {
-		cmd := exec.Command(exe, "-fleet-child",
-			"-fleet-addr", addrs[i],
-			"-fleet-peers", peers,
-			"-fleet-self", urls[i],
-			"-fleet-conc", fmt.Sprint(conc))
-		cmd.Stderr = os.Stderr
-		stdout, err := cmd.StdoutPipe()
+	for _, a := range addrs {
+		p, err := fleetWorker{addr: a, peers: urls}.start(exe)
 		if err != nil {
 			kill()
 			return nil, nil, err
 		}
-		if err := cmd.Start(); err != nil {
-			kill()
-			return nil, nil, err
-		}
-		procs = append(procs, fleetWorkerProc{url: urls[i], cmd: cmd})
-		line, err := bufio.NewReader(stdout).ReadString('\n')
-		if err != nil || !strings.Contains(line, "listening on") {
-			kill()
-			return nil, nil, fmt.Errorf("fleet child %d did not come up: %q (%v)", i, line, err)
-		}
-		go io.Copy(io.Discard, stdout)
+		procs = append(procs, p)
 	}
 	return procs, kill, nil
 }
 
-// scrapeCounter reads one plain-text counter from a /metrics page.
-func scrapeCounter(url, name string) uint64 {
-	resp, err := http.Get(url + "/metrics")
-	if err != nil {
-		return 0
-	}
-	defer resp.Body.Close()
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		var v uint64
-		if _, err := fmt.Sscanf(sc.Text(), name+" %d", &v); err == nil {
-			return v
-		}
-	}
-	return 0
-}
-
 // postFleetBatch submits items as one batch to url and returns the
 // per-item responses.
-func postFleetBatch(hc *http.Client, url string, items []api.AnalyzeItem) (*api.BatchResponse, error) {
-	body, err := json.Marshal(api.AnalyzeRequest{Items: items})
-	if err != nil {
-		return nil, err
-	}
-	resp, err := hc.Post(url+"/v1/analyze", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<12))
-		return nil, fmt.Errorf("batch to %s: status %d: %s", url, resp.StatusCode, b)
-	}
+func postFleetBatch(url string, items []api.AnalyzeItem) (*api.BatchResponse, error) {
 	var br api.BatchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
-		return nil, err
-	}
-	return &br, nil
-}
-
-// findingsOf extracts the compacted Reports array from a serialized
-// result: the determinism contract pins these bytes, timings vary.
-func findingsOf(result json.RawMessage) (string, error) {
-	var m struct {
-		Reports json.RawMessage `json:"Reports"`
-	}
-	if err := json.Unmarshal(result, &m); err != nil {
-		return "", err
-	}
-	var buf bytes.Buffer
-	if err := json.Compact(&buf, m.Reports); err != nil {
-		return "", err
-	}
-	return buf.String(), nil
+	return &br, e2e.PostJSON(url+"/v1/analyze", api.AnalyzeRequest{Items: items}, &br)
 }
 
 // RunFleet measures horizontal scale: the same corpus of items pushed
@@ -277,29 +185,21 @@ func (e *Experiments) RunFleet(spec workload.Spec, items int, nodes []int, exe s
 	e.logf("  fleet direct baseline: %d items\n", items)
 	direct := make([]string, items)
 	for i, it := range corpus {
-		r, err := canary.Analyze(it.Source, fleetOptions())
-		if err != nil {
+		var err error
+		if direct[i], err = e2e.DirectFindings(it.Source, fleetOptions()); err != nil {
 			return res, fmt.Errorf("direct baseline item %d: %w", i, err)
-		}
-		raw, err := json.Marshal(r)
-		if err != nil {
-			return res, err
-		}
-		if direct[i], err = findingsOf(raw); err != nil {
-			return res, err
 		}
 	}
 
-	hc := &http.Client{Timeout: 10 * time.Minute}
 	for _, n := range nodes {
 		run := FleetNodeRun{Nodes: n, Identical: true}
-		procs, kill, err := spawnFleet(exe, n, 1)
+		procs, kill, err := spawnFleet(exe, n)
 		if err != nil {
 			return res, err
 		}
 		urls := make([]string, n)
 		for i, p := range procs {
-			urls[i] = p.url
+			urls[i] = p.URL()
 		}
 		opts := fleetOptions()
 		rt, err := fleet.NewRouter(fleet.RouterConfig{Workers: urls, BaseOptions: &opts})
@@ -323,7 +223,7 @@ func (e *Experiments) RunFleet(spec workload.Spec, items int, nodes []int, exe s
 
 		// Cold corpus through the router.
 		t0 := time.Now()
-		cold, err := postFleetBatch(hc, routerURL, corpus)
+		cold, err := postFleetBatch(routerURL, corpus)
 		if err != nil {
 			return fail(err)
 		}
@@ -333,7 +233,7 @@ func (e *Experiments) RunFleet(spec workload.Spec, items int, nodes []int, exe s
 			return fail(fmt.Errorf("%d-node cold batch: %d items failed", n, cold.Failed))
 		}
 		for i, it := range cold.Items {
-			f, err := findingsOf(it.Result)
+			f, err := e2e.Findings(it.Result)
 			if err != nil {
 				return fail(fmt.Errorf("%d-node cold item %d: %w", n, i, err))
 			}
@@ -347,7 +247,7 @@ func (e *Experiments) RunFleet(spec workload.Spec, items int, nodes []int, exe s
 
 		// Warm repeat: every item served from its owner's cache.
 		t0 = time.Now()
-		warm, err := postFleetBatch(hc, routerURL, corpus)
+		warm, err := postFleetBatch(routerURL, corpus)
 		if err != nil {
 			return fail(err)
 		}
@@ -367,7 +267,7 @@ func (e *Experiments) RunFleet(spec workload.Spec, items int, nodes []int, exe s
 				run.ProbeOwned++
 			}
 		}
-		probe, err := postFleetBatch(hc, urls[0], corpus)
+		probe, err := postFleetBatch(urls[0], corpus)
 		if err != nil {
 			return fail(err)
 		}
@@ -376,12 +276,12 @@ func (e *Experiments) RunFleet(spec workload.Spec, items int, nodes []int, exe s
 				run.ProbeCached++
 			}
 		}
-		run.PeerFetches = scrapeCounter(urls[0], "canaryd_peer_fetches_total")
-		run.PeerHits = scrapeCounter(urls[0], "canaryd_peer_hits_total")
-		run.PeerJobsServed = scrapeCounter(urls[0], "canaryd_peer_jobs_served_total")
+		run.PeerFetches = e2e.Counter(urls[0], "canaryd_peer_fetches_total")
+		run.PeerHits = e2e.Counter(urls[0], "canaryd_peer_hits_total")
+		run.PeerJobsServed = e2e.Counter(urls[0], "canaryd_peer_jobs_served_total")
 		for _, u := range urls {
 			run.AcceptedPerNode = append(run.AcceptedPerNode,
-				int(scrapeCounter(u, "canaryd_jobs_accepted_total")))
+				int(e2e.Counter(u, "canaryd_jobs_accepted_total")))
 		}
 		e.logf("  fleet %d-node probe: %d/%d cached at one node (owns %d, %d peer hits)\n",
 			n, run.ProbeCached, items, run.ProbeOwned, run.PeerHits)
@@ -391,24 +291,20 @@ func (e *Experiments) RunFleet(spec workload.Spec, items int, nodes []int, exe s
 		if n == nodes[len(nodes)-1] {
 			burst := 6
 			fresh := base + "\nfunc fleetburst() { q = malloc(); }"
+			body, _ := json.Marshal(api.AnalyzeRequest{Source: fresh})
 			var wg sync.WaitGroup
 			for i := 0; i < burst; i++ {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					body, _ := json.Marshal(api.AnalyzeRequest{Source: fresh})
-					resp, err := hc.Post(routerURL+"/v1/analyze", "application/json", bytes.NewReader(body))
-					if err == nil {
-						io.Copy(io.Discard, resp.Body)
-						resp.Body.Close()
-					}
+					e2e.Post(routerURL+"/v1/analyze", body)
 				}()
 			}
 			wg.Wait()
 			res.DedupBurst = burst
 			res.RouterDeduped = rt.Stats().Deduped
 			for _, u := range urls {
-				res.WorkerCoalesced += scrapeCounter(u, "canaryd_inflight_coalesced_total")
+				res.WorkerCoalesced += e2e.Counter(u, "canaryd_inflight_coalesced_total")
 			}
 			e.logf("  fleet dedup burst: %d submissions, %d router-deduped, %d worker-coalesced\n",
 				burst, res.RouterDeduped, res.WorkerCoalesced)

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -104,11 +105,11 @@ func (e *Experiments) RunIncremental(spec workload.Spec, iters int) (Incremental
 
 	for i := 0; i < iters; i++ {
 		sess := canary.NewSession()
-		if _, err := sess.Analyze(orig, opt); err != nil {
+		if _, err := sess.Analyze(context.Background(), orig, opt); err != nil {
 			return res, err
 		}
 		t0 := time.Now()
-		warm, err := sess.Analyze(edited, opt)
+		warm, err := sess.Analyze(context.Background(), edited, opt)
 		d := time.Since(t0)
 		if err != nil {
 			return res, err

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -99,7 +100,7 @@ func RunPersistChild(dir, srcPath string) int {
 		return 2
 	}
 	t0 := time.Now()
-	res, err := sess.Analyze(string(data), persistOptions())
+	res, err := sess.Analyze(context.Background(), string(data), persistOptions())
 	wall := time.Since(t0)
 	if err != nil {
 		sess.Close()
@@ -115,7 +116,7 @@ func RunPersistChild(dir, srcPath string) int {
 		FuncsReanalyzed: res.VFG.FuncsReanalyzed,
 		VerdictHits:     res.Check.VerdictHits,
 		PairsRechecked:  res.Check.PairsRechecked,
-		Disk:            sess.DiskStats(),
+		Disk:            sess.Stats().Disk,
 	}
 	if err := sess.Close(); err != nil {
 		fmt.Fprintln(os.Stderr, "persist-child:", err)

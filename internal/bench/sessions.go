@@ -160,7 +160,7 @@ func (e *Experiments) runSessionsOnce(orig string, opt canary.Options, edits, it
 	ctx := context.Background()
 
 	t0 := time.Now()
-	live, d, err := canary.NewSession().Open(orig, opt)
+	live, d, err := canary.NewSession().OpenLive(context.Background(), orig, opt, canary.LiveConfig{})
 	if err != nil {
 		return res, err
 	}
@@ -174,7 +174,7 @@ func (e *Experiments) runSessionsOnce(orig string, opt canary.Options, edits, it
 	// The baseline a delta-less client would use: a warm session fed the
 	// whole new source every time.
 	baseSess := canary.NewSession()
-	if _, err := baseSess.Analyze(orig, opt); err != nil {
+	if _, err := baseSess.Analyze(context.Background(), orig, opt); err != nil {
 		return res, err
 	}
 
@@ -200,7 +200,7 @@ func (e *Experiments) runSessionsOnce(orig string, opt canary.Options, edits, it
 		sessionTime := time.Since(t0)
 
 		t0 = time.Now()
-		bres, err := baseSess.Analyze(next, opt)
+		bres, err := baseSess.Analyze(context.Background(), next, opt)
 		if err != nil {
 			return res, err
 		}

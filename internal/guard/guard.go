@@ -50,16 +50,14 @@ const (
 type Formula struct {
 	kind Kind
 	atom Atom
-	id   int32 // dense interner identity; see ID
+	// id is the dense interner identity: ⊤ is 1, ⊥ is 2, and every
+	// further distinct formula interned by this process gets the next
+	// integer. IDs are stable for the process lifetime and usable as
+	// array indexes, but they depend on construction order and must
+	// never leak into analysis output.
+	id   int32
 	subs []*Formula
 }
-
-// ID returns the formula's dense interner identity: ⊤ is 1, ⊥ is 2, and
-// every further distinct formula interned by this process gets the next
-// integer. IDs are assigned at intern time, so they are stable for the
-// process lifetime and usable as array indexes, but they depend on
-// construction order and must never leak into analysis output.
-func (f *Formula) ID() int32 { return f.id }
 
 var (
 	trueF  = &Formula{kind: KTrue, id: 1}

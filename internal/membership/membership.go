@@ -127,7 +127,8 @@ type Config struct {
 	Interval time.Duration
 	// SuspectAfter is the silence after which a member turns suspect;
 	// default 5×Interval. DeadAfter is the silence after which a suspect
-	// turns dead; default 2×SuspectAfter.
+	// turns dead, once it has been suspect for DeadAfter−SuspectAfter;
+	// default 2×SuspectAfter.
 	SuspectAfter time.Duration
 	DeadAfter    time.Duration
 	// Fanout is how many peers each round gossips with. Default 2.
@@ -166,6 +167,11 @@ type entry struct {
 	// whenever fresh liveness evidence refreshes lastHeard.
 	probing     bool
 	probeFailed bool
+	// suspectedAt is when the member last turned suspect in this table.
+	// The suspect → dead step waits DeadAfter−SuspectAfter past it, so a
+	// suspicion held back by a slow indirect probe still lasts its full
+	// window instead of collapsing straight into death.
+	suspectedAt time.Time
 }
 
 // Stats is a point-in-time counter snapshot for /metrics.
@@ -561,8 +567,9 @@ func (a *Agent) mergeLocked(members []api.GossipMember, now time.Time) {
 		e, ok := a.table[m.ID]
 		if !ok {
 			a.table[m.ID] = &entry{
-				Member:    Member{ID: m.ID, Role: m.Role, State: st, Incarnation: m.Incarnation},
-				lastHeard: now,
+				Member:      Member{ID: m.ID, Role: m.Role, State: st, Incarnation: m.Incarnation},
+				lastHeard:   now,
+				suspectedAt: now,
 			}
 			a.logf("membership: learned %s (%s, %s)", m.ID, m.Role, m.State)
 			continue
@@ -576,6 +583,9 @@ func (a *Agent) mergeLocked(members []api.GossipMember, now time.Time) {
 				a.logf("membership: %s %s -> %s (incarnation %d)", m.ID, e.State, st, m.Incarnation)
 			}
 			e.Incarnation = m.Incarnation
+			if st == Suspect && e.State != Suspect {
+				e.suspectedAt = now
+			}
 			e.State = st
 			// A refutation (fresh incarnation, alive) is news from the
 			// member itself — restart its silence clock.
@@ -585,13 +595,17 @@ func (a *Agent) mergeLocked(members []api.GossipMember, now time.Time) {
 			}
 		case m.Incarnation == e.Incarnation && worse(st, e.State):
 			a.logf("membership: %s %s -> %s (gossip)", m.ID, e.State, st)
+			if st == Suspect {
+				e.suspectedAt = now
+			}
 			e.State = st
 		}
 	}
 }
 
 // tick ages silent members: alive → suspect after SuspectAfter,
-// suspect → dead after DeadAfter. Before suspecting an alive member,
+// suspect → dead after DeadAfter (and at least DeadAfter−SuspectAfter
+// after turning suspect). Before suspecting an alive member,
 // the agent tries an indirect probe (SWIM's ping-req): the transition
 // is held while the probe is in flight, taken only once a completed
 // probe got no helper ack.
@@ -612,11 +626,12 @@ func (a *Agent) tick(now time.Time) {
 					continue
 				}
 				e.State = Suspect
+				e.suspectedAt = now
 				e.probeFailed = false
 				a.logf("membership: %s alive -> suspect (silent %v)", e.ID, silent.Round(time.Millisecond))
 			}
 		case Suspect:
-			if silent > a.cfg.DeadAfter {
+			if silent > a.cfg.DeadAfter && now.Sub(e.suspectedAt) > a.cfg.DeadAfter-a.cfg.SuspectAfter {
 				e.State = Dead
 				a.logf("membership: %s suspect -> dead (silent %v)", e.ID, silent.Round(time.Millisecond))
 			}

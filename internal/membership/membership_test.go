@@ -88,6 +88,35 @@ func TestSelfRefutation(t *testing.T) {
 	}
 }
 
+// TestSuspectWindowSurvivesSlowProbe: a suspicion taken late — an
+// indirect probe held the transition until the member had been silent
+// past DeadAfter already — still lasts DeadAfter−SuspectAfter before the
+// member is declared dead, so peers and routers get to see it suspect.
+func TestSuspectWindowSurvivesSlowProbe(t *testing.T) {
+	a := newAgent(t, Config{
+		Self: "http://self", Role: api.RoleWorker,
+		Seeds:         []string{"http://b"},
+		Interval:      10 * time.Millisecond,
+		SuspectAfter:  50 * time.Millisecond,
+		DeadAfter:     100 * time.Millisecond,
+		PingReqFanout: -1,
+	})
+	base := time.Now()
+	for _, step := range []struct {
+		at   time.Duration
+		want State
+	}{
+		{150 * time.Millisecond, Suspect}, // silent past DeadAfter, first suspected now
+		{180 * time.Millisecond, Suspect}, // 30ms into a 50ms suspicion
+		{220 * time.Millisecond, Dead},
+	} {
+		a.tick(base.Add(step.at))
+		if got := stateOf(t, a.Members(), "http://b"); got.State != step.want {
+			t.Fatalf("at %v: state %v, want %v", step.at, got.State, step.want)
+		}
+	}
+}
+
 // TestSuspectDeadTimeouts: silence ages a member alive → suspect →
 // dead on the configured clocks, and direct contact resurrects it.
 func TestSuspectDeadTimeouts(t *testing.T) {

@@ -636,12 +636,11 @@ func (s *Server) writeMetrics(w io.Writer) {
 	sh, sm := smt.DefaultCache.Stats()
 	fmt.Fprintf(w, "canaryd_smt_cache_hits_total %d\n", sh)
 	fmt.Fprintf(w, "canaryd_smt_cache_misses_total %d\n", sm)
-	suh, sum := s.session.SummaryStats()
-	fmt.Fprintf(w, "canaryd_summary_hits_total %d\n", suh)
-	fmt.Fprintf(w, "canaryd_summary_misses_total %d\n", sum)
-	vh, vm := s.session.VerdictStats()
-	fmt.Fprintf(w, "canaryd_verdict_hits_total %d\n", vh)
-	fmt.Fprintf(w, "canaryd_verdict_misses_total %d\n", vm)
+	st := s.session.Stats()
+	fmt.Fprintf(w, "canaryd_summary_hits_total %d\n", st.SummaryHits)
+	fmt.Fprintf(w, "canaryd_summary_misses_total %d\n", st.SummaryMisses)
+	fmt.Fprintf(w, "canaryd_verdict_hits_total %d\n", st.VerdictHits)
+	fmt.Fprintf(w, "canaryd_verdict_misses_total %d\n", st.VerdictMisses)
 	fmt.Fprintf(w, "canaryd_trivial_solves_total %d\n", s.metrics.trivialSolves.Load())
 	for _, dim := range pipeline.BudgetDimensions() {
 		fmt.Fprintf(w, "canaryd_budget_exhausted_total{stage=%q} %d\n", dim, m.budget[dim].Load())
@@ -649,20 +648,16 @@ func (s *Server) writeMetrics(w io.Writer) {
 	// Worker- and checker-level recoveries live in the daemon counter;
 	// session-level recoveries (and all quarantines) are counted by the
 	// shared Session. The events are disjoint, so the sum is exact.
-	fmt.Fprintf(w, "canaryd_panics_recovered_total %d\n", m.panicsRecovered.Load()+s.session.PanicsRecovered())
-	fmt.Fprintf(w, "canaryd_quarantined_summaries_total %d\n", s.session.QuarantinedSummaries())
-	gh, gm := canary.GuardInternStats()
-	fmt.Fprintf(w, "canaryd_guard_intern_hits_total %d\n", gh)
-	fmt.Fprintf(w, "canaryd_guard_intern_misses_total %d\n", gm)
-	gi, bw, _ := canary.AllocStats()
-	fmt.Fprintf(w, "canaryd_guard_interned_total %d\n", gi)
-	fmt.Fprintf(w, "canaryd_pta_bitset_words %d\n", bw)
+	fmt.Fprintf(w, "canaryd_panics_recovered_total %d\n", m.panicsRecovered.Load()+st.PanicsRecovered)
+	fmt.Fprintf(w, "canaryd_quarantined_summaries_total %d\n", st.QuarantinedSummaries)
+	fmt.Fprintf(w, "canaryd_guard_intern_hits_total %d\n", st.GuardInternHits)
+	fmt.Fprintf(w, "canaryd_guard_intern_misses_total %d\n", st.GuardInternMisses)
+	fmt.Fprintf(w, "canaryd_guard_interned_total %d\n", st.GuardInterned)
+	fmt.Fprintf(w, "canaryd_pta_bitset_words %d\n", st.BitsetWords)
 	// The persistent tier's counters (all zero without -cache-dir, so
-	// scrapers can rely on the series existing either way).
-	var dst diskstore.Stats
-	if s.disk != nil {
-		dst = s.disk.Stats()
-	}
+	// scrapers can rely on the series existing either way). The session
+	// shares the daemon's one disk store with the result cache.
+	dst := st.Disk
 	fmt.Fprintf(w, "canaryd_disk_hits_total %d\n", dst.Hits)
 	fmt.Fprintf(w, "canaryd_disk_misses_total %d\n", dst.Misses)
 	fmt.Fprintf(w, "canaryd_disk_writes_total %d\n", dst.Writes)

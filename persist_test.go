@@ -2,6 +2,7 @@ package canary
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -32,13 +33,13 @@ func TestPersistentWarmChildProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sess.Analyze(string(data), DefaultOptions())
+	res, err := sess.Analyze(context.Background(), string(data), DefaultOptions())
 	if err != nil {
 		sess.Close()
 		t.Fatal(err)
 	}
 	sess.Flush()
-	ds := sess.DiskStats()
+	ds := sess.Stats().Disk
 	if err := sess.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +223,7 @@ func TestWarmSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := a.Analyze(src, opt)
+	cold, err := a.Analyze(context.Background(), src, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +247,7 @@ func TestWarmSnapshotRoundTrip(t *testing.T) {
 	if _, err := b.ImportWarm(bytes.NewReader(archive.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	warm, err := b.Analyze(src, opt)
+	warm, err := b.Analyze(context.Background(), src, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +257,7 @@ func TestWarmSnapshotRoundTrip(t *testing.T) {
 	if warm.VFG.FuncsReanalyzed != 0 {
 		t.Errorf("imported snapshot still reanalyzed %d functions", warm.VFG.FuncsReanalyzed)
 	}
-	if ds := b.DiskStats(); ds.Hits == 0 {
+	if ds := b.Stats().Disk; ds.Hits == 0 {
 		t.Error("imported snapshot served no disk hits")
 	}
 }
@@ -280,17 +281,17 @@ func TestPersistentSessionQuarantineReachesDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s1.Analyze(src, DefaultOptions()); err != nil {
+	if _, err := s1.Analyze(context.Background(), src, DefaultOptions()); err != nil {
 		t.Fatal(err)
 	}
 	s1.Flush()
-	primed := s1.DiskStats()
+	primed := s1.Stats().Disk
 	if primed.Entries == 0 {
 		t.Fatal("priming stored nothing")
 	}
 	s1.Quarantine(src)
 	s1.Flush()
-	after := s1.DiskStats()
+	after := s1.Stats().Disk
 	if after.Entries >= primed.Entries {
 		t.Errorf("quarantine removed nothing from disk: %d -> %d entries", primed.Entries, after.Entries)
 	}

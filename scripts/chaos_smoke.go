@@ -26,13 +26,7 @@
 package main
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
-	"net"
-	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -42,6 +36,7 @@ import (
 
 	"canary"
 	"canary/internal/api"
+	"canary/internal/e2e"
 )
 
 const (
@@ -65,33 +60,31 @@ func run() error {
 	}
 	defer os.RemoveAll(tmp)
 
-	daemonBin := filepath.Join(tmp, "canaryd")
-	routerBin := filepath.Join(tmp, "canary-router")
-	for bin, pkg := range map[string]string{daemonBin: "./cmd/canaryd", routerBin: "./cmd/canary-router"} {
-		if out, err := exec.Command("go", "build", "-o", bin, pkg).CombinedOutput(); err != nil {
-			return fmt.Errorf("building %s: %v\n%s", pkg, err, out)
-		}
+	daemonBin, err := e2e.Build(tmp, "./cmd/canaryd")
+	if err != nil {
+		return err
+	}
+	routerBin, err := e2e.Build(tmp, "./cmd/canary-router")
+	if err != nil {
+		return err
 	}
 
 	// Fixed worker addresses (restart must reuse the identity) and
 	// persistent cache dirs (restart must come back warm).
 	const nWorkers = 3
-	addrs := make([]string, nWorkers)
+	addrs, err := e2e.FreeAddrs(nWorkers)
+	if err != nil {
+		return err
+	}
 	urls := make([]string, nWorkers)
 	dirs := make([]string, nWorkers)
 	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		addrs[i] = ln.Addr().String()
-		ln.Close()
 		urls[i] = "http://" + addrs[i]
 		dirs[i] = filepath.Join(tmp, fmt.Sprintf("w%d", i))
 	}
 	seeds := strings.Join(urls, ",")
 
-	startWorker := func(i int, extraEnv ...string) (*proc, error) {
+	startWorker := func(i int, extraEnv ...string) (*e2e.Proc, error) {
 		cmd := exec.Command(daemonBin,
 			"-addr", addrs[i],
 			"-join", seeds,
@@ -101,13 +94,13 @@ func run() error {
 		if len(extraEnv) > 0 {
 			cmd.Env = append(os.Environ(), extraEnv...)
 		}
-		return startProc(cmd, "canaryd listening on ")
+		return e2e.Start(cmd, "canaryd listening on ")
 	}
 
-	workers := make([]*proc, nWorkers)
+	workers := make([]*e2e.Proc, nWorkers)
 	defer func() {
 		for _, p := range workers {
-			p.kill()
+			p.Kill()
 		}
 	}()
 	for i := range workers {
@@ -118,7 +111,7 @@ func run() error {
 
 	// The router knows nothing but the seeds: its whole worker set must
 	// arrive through gossip.
-	router, err := startProc(exec.Command(routerBin,
+	router, err := e2e.Start(exec.Command(routerBin,
 		"-addr", "127.0.0.1:0",
 		"-join", seeds,
 		"-gossip-interval", gossipInterval.String(),
@@ -129,8 +122,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	defer router.kill()
-	base := "http://" + router.addr
+	defer router.Kill()
+	base := router.URL()
 	fmt.Println("chaos-smoke: router at", base, "joined to", seeds)
 
 	hb, err := waitMembers(base, func(ms []api.GossipMember) bool {
@@ -150,7 +143,7 @@ func run() error {
 	direct := make([]string, smokeItems)
 	for i := range corpus {
 		corpus[i] = fmt.Sprintf("%s\nfunc chaossmokepad%d() { p%d = malloc(); }", example, i, i)
-		if direct[i], err = directFindings(corpus[i]); err != nil {
+		if direct[i], err = e2e.DirectFindings(corpus[i], canary.DefaultOptions()); err != nil {
 			return fmt.Errorf("direct baseline item %d: %w", i, err)
 		}
 	}
@@ -162,9 +155,7 @@ func run() error {
 
 	// Round: SIGKILL. The stream runs against a fleet with a fresh
 	// corpse in it; convergence to dead is asserted afterwards.
-	workers[1].cmd.Process.Kill()
-	workers[1].cmd.Wait()
-	workers[1].dead = true
+	workers[1].Kill()
 	fmt.Println("chaos-smoke: SIGKILLed", urls[1])
 	if err := streamRound("sigkill", base, corpus, direct); err != nil {
 		return err
@@ -203,7 +194,7 @@ func run() error {
 	// suspect (observed through the router's gossip table), the stream
 	// must hedge or fail over around it, and SIGCONT must bring it back
 	// alive with no restart and no ring churn.
-	syscall.Kill(workers[2].cmd.Process.Pid, syscall.SIGSTOP)
+	workers[2].Cmd.Process.Signal(syscall.SIGSTOP)
 	fmt.Println("chaos-smoke: SIGSTOPed", urls[2])
 	if _, err = waitMembers(base, func(ms []api.GossipMember) bool {
 		return stateOf(ms, urls[2]) == api.GossipSuspect
@@ -214,7 +205,7 @@ func run() error {
 	if err := streamRound("pause", base, corpus, direct); err != nil {
 		return err
 	}
-	syscall.Kill(workers[2].cmd.Process.Pid, syscall.SIGCONT)
+	workers[2].Cmd.Process.Signal(syscall.SIGCONT)
 	hb, err = waitMembers(base, func(ms []api.GossipMember) bool {
 		return stateOf(ms, urls[2]) == api.GossipAlive
 	}, 60*time.Second)
@@ -225,9 +216,7 @@ func run() error {
 
 	// Round: failpoint storm. A worker restarts with its degradation
 	// paths injecting intermittent faults; the answers must not change.
-	workers[0].cmd.Process.Kill()
-	workers[0].cmd.Wait()
-	workers[0].dead = true
+	workers[0].Kill()
 	storm := "CANARY_FAILPOINTS=peer-fetch=error@2;disk-read=error@2;disk-write=error@3;cache-read=error@5"
 	if workers[0], err = startWorker(0, storm); err != nil {
 		return fmt.Errorf("storm restart: %w", err)
@@ -242,24 +231,13 @@ func run() error {
 	}
 
 	// The healed fleet: all three workers back in the router's ring.
-	if err := waitWorkersUp(base, nWorkers); err != nil {
+	if err := e2e.WaitWorkersUp(base, nWorkers, 30*time.Second); err != nil {
 		return err
 	}
 
 	// Clean shutdown: SIGTERM must drain and exit 0.
-	if err := router.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+	if err := router.Terminate(30 * time.Second); err != nil {
 		return err
-	}
-	waitErr := make(chan error, 1)
-	go func() { waitErr <- router.cmd.Wait() }()
-	select {
-	case err := <-waitErr:
-		router.dead = true
-		if err != nil {
-			return fmt.Errorf("router exit after SIGTERM: %v", err)
-		}
-	case <-time.After(30 * time.Second):
-		return fmt.Errorf("router did not exit within 30s of SIGTERM")
 	}
 	fmt.Println("chaos-smoke: clean router shutdown")
 	return nil
@@ -271,7 +249,7 @@ func run() error {
 func streamRound(name, base string, corpus, direct []string) error {
 	retries, t0 := 0, time.Now()
 	for i, src := range corpus {
-		got, r, err := streamOne(base, src)
+		got, r, err := e2e.StreamOne(base, src)
 		retries += r
 		if err != nil {
 			return fmt.Errorf("round %s item %d lost: %w", name, i, err)
@@ -285,67 +263,22 @@ func streamRound(name, base string, corpus, direct []string) error {
 	return nil
 }
 
-// streamOne submits one source, retrying a retryable answer (transport
-// error, 502/503/504) exactly once, honoring Retry-After.
-func streamOne(base, src string) (findings string, retries int, err error) {
-	body, _ := json.Marshal(api.AnalyzeRequest{Source: src})
-	var lastErr error
-	for attempt := 0; attempt < 2; attempt++ {
-		if attempt > 0 {
-			retries++
-			time.Sleep(500 * time.Millisecond)
-		}
-		hc := &http.Client{Timeout: 2 * time.Minute}
-		resp, err := hc.Post(base+"/v1/analyze", "application/json", bytes.NewReader(body))
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		respBody, readErr := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if readErr != nil || resp.StatusCode == http.StatusBadGateway ||
-			resp.StatusCode == http.StatusServiceUnavailable ||
-			resp.StatusCode == http.StatusGatewayTimeout {
-			lastErr = fmt.Errorf("status %d (%v): %s", resp.StatusCode, readErr, respBody)
-			continue
-		}
-		if resp.StatusCode != http.StatusOK {
-			return "", retries, fmt.Errorf("status %d: %s", resp.StatusCode, respBody)
-		}
-		var jr api.JobResponse
-		if err := json.Unmarshal(respBody, &jr); err != nil {
-			return "", retries, err
-		}
-		if jr.Status != "done" {
-			return "", retries, fmt.Errorf("job %s: %s", jr.Status, jr.Error)
-		}
-		got, err := findingsOf(jr.Result)
-		return got, retries, err
-	}
-	return "", retries, lastErr
-}
-
 // waitMembers polls the router's GET /v1/gossip table until pred holds,
 // returning the wait in gossip heartbeats.
 func waitMembers(base string, pred func([]api.GossipMember) bool, timeout time.Duration) (float64, error) {
-	t0 := time.Now()
-	deadline := t0.Add(timeout)
 	var last []api.GossipMember
-	for time.Now().Before(deadline) {
-		resp, err := http.Get(base + "/v1/gossip")
-		if err == nil {
-			var gr api.GossipResponse
-			if json.NewDecoder(resp.Body).Decode(&gr) == nil {
-				last = gr.Members
-			}
-			resp.Body.Close()
-			if pred(last) {
-				return float64(time.Since(t0)) / float64(gossipInterval), nil
-			}
+	waited, ok := e2e.Poll(timeout, gossipInterval/3, func() bool {
+		var gr api.GossipResponse
+		if e2e.GetJSON(base+"/v1/gossip", &gr) != nil {
+			return false
 		}
-		time.Sleep(gossipInterval / 3)
+		last = gr.Members
+		return pred(last)
+	})
+	if !ok {
+		return -1, fmt.Errorf("gossip table never satisfied the predicate; last: %+v", last)
 	}
-	return -1, fmt.Errorf("gossip table never satisfied the predicate; last: %+v", last)
+	return float64(waited) / float64(gossipInterval), nil
 }
 
 func countWorkers(ms []api.GossipMember, state string) int {
@@ -365,115 +298,4 @@ func stateOf(ms []api.GossipMember, id string) string {
 		}
 	}
 	return ""
-}
-
-// proc is one spawned child with the address scraped from its first
-// stdout line.
-type proc struct {
-	addr string
-	cmd  *exec.Cmd
-	dead bool
-}
-
-func (p *proc) kill() {
-	if p == nil || p.dead {
-		return
-	}
-	// SIGCONT first: killing a SIGSTOPed process leaves it stopped
-	// until the signal is delivered on resume.
-	syscall.Kill(p.cmd.Process.Pid, syscall.SIGCONT)
-	p.cmd.Process.Kill()
-	p.cmd.Wait()
-	p.dead = true
-}
-
-// startProc starts cmd, scrapes "<prefix><addr>" from its first stdout
-// line, and keeps the pipe drained.
-func startProc(cmd *exec.Cmd, prefix string) (*proc, error) {
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		return nil, err
-	}
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		return nil, err
-	}
-	p := &proc{cmd: cmd}
-	sc := bufio.NewScanner(stdout)
-	if !sc.Scan() {
-		p.kill()
-		return nil, fmt.Errorf("%s exited before announcing its address", cmd.Path)
-	}
-	p.addr = strings.TrimPrefix(sc.Text(), prefix)
-	if p.addr == sc.Text() {
-		p.kill()
-		return nil, fmt.Errorf("unexpected first stdout line %q", sc.Text())
-	}
-	go io.Copy(io.Discard, stdout)
-	return p, nil
-}
-
-// directFindings runs the library in-process and returns the compacted
-// findings bytes.
-func directFindings(src string) (string, error) {
-	r, err := canary.Analyze(src, canary.DefaultOptions())
-	if err != nil {
-		return "", err
-	}
-	raw, err := json.Marshal(r)
-	if err != nil {
-		return "", err
-	}
-	return findingsOf(raw)
-}
-
-// routerHealth is the router's /healthz?format=json body.
-type routerHealth struct {
-	Status  string `json:"status"`
-	Workers []struct {
-		URL   string `json:"url"`
-		State string `json:"state"`
-	} `json:"workers"`
-}
-
-// waitWorkersUp polls the router until want workers report "up".
-func waitWorkersUp(base string, want int) error {
-	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		resp, err := http.Get(base + "/healthz?format=json")
-		if err == nil {
-			var h routerHealth
-			err = json.NewDecoder(resp.Body).Decode(&h)
-			resp.Body.Close()
-			if err == nil {
-				up := 0
-				for _, w := range h.Workers {
-					if w.State == "up" {
-						up++
-					}
-				}
-				if up >= want {
-					return nil
-				}
-			}
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-	return fmt.Errorf("router never reported %d workers up", want)
-}
-
-// findingsOf extracts the compacted Reports array from a serialized
-// result (timings vary run to run; the findings bytes may not).
-func findingsOf(result json.RawMessage) (string, error) {
-	var m struct {
-		Reports json.RawMessage `json:"Reports"`
-	}
-	if err := json.Unmarshal(result, &m); err != nil {
-		return "", err
-	}
-	var buf bytes.Buffer
-	if err := json.Compact(&buf, m.Reports); err != nil {
-		return "", err
-	}
-	return buf.String(), nil
 }

@@ -14,21 +14,15 @@
 package main
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"strings"
-	"syscall"
 	"time"
 
 	"canary"
 	"canary/internal/api"
+	"canary/internal/e2e"
 	"canary/internal/fleet"
 )
 
@@ -49,34 +43,35 @@ func run() error {
 	}
 	defer os.RemoveAll(tmp)
 
-	daemonBin := filepath.Join(tmp, "canaryd")
-	routerBin := filepath.Join(tmp, "canary-router")
-	for bin, pkg := range map[string]string{daemonBin: "./cmd/canaryd", routerBin: "./cmd/canary-router"} {
-		if out, err := exec.Command("go", "build", "-o", bin, pkg).CombinedOutput(); err != nil {
-			return fmt.Errorf("building %s: %v\n%s", pkg, err, out)
-		}
+	daemonBin, err := e2e.Build(tmp, "./cmd/canaryd")
+	if err != nil {
+		return err
+	}
+	routerBin, err := e2e.Build(tmp, "./cmd/canary-router")
+	if err != nil {
+		return err
 	}
 
 	// Two workers on random ports.
-	var workers []*proc
+	var workers []*e2e.Proc
 	defer func() {
 		for _, p := range workers {
-			p.kill()
+			p.Kill()
 		}
 	}()
 	var urls []string
 	for i := 0; i < 2; i++ {
-		p, err := startProc(exec.Command(daemonBin, "-addr", "127.0.0.1:0"), "canaryd listening on ")
+		p, err := e2e.Start(exec.Command(daemonBin, "-addr", "127.0.0.1:0"), "canaryd listening on ")
 		if err != nil {
 			return err
 		}
 		workers = append(workers, p)
-		urls = append(urls, "http://"+p.addr)
+		urls = append(urls, p.URL())
 	}
 
 	// The router in front of them, with a short failover backoff so the
 	// post-kill batch settles quickly.
-	router, err := startProc(exec.Command(routerBin,
+	router, err := e2e.Start(exec.Command(routerBin,
 		"-addr", "127.0.0.1:0",
 		"-workers", strings.Join(urls, ","),
 		"-retry-backoff", "10ms",
@@ -84,11 +79,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	defer router.kill()
-	base := "http://" + router.addr
+	defer router.Kill()
+	base := router.URL()
 	fmt.Println("fleet-smoke: router at", base, "workers at", strings.Join(urls, ", "))
 
-	if err := waitWorkersUp(base, 2); err != nil {
+	if err := e2e.WaitWorkersUp(base, 2, 15*time.Second); err != nil {
 		return err
 	}
 
@@ -108,7 +103,7 @@ func run() error {
 	// which worker computes an item.
 	direct := make([]string, smokeItems)
 	for i, it := range corpus {
-		if direct[i], err = directFindings(it.Source); err != nil {
+		if direct[i], err = e2e.DirectFindings(it.Source, canary.DefaultOptions()); err != nil {
 			return fmt.Errorf("direct baseline item %d: %w", i, err)
 		}
 	}
@@ -151,20 +146,18 @@ func run() error {
 	// come back byte-identical.
 	ring := fleet.NewRing(urls)
 	victimURL := ring.Owner(canary.SubmissionKey(corpus[0].Source, canary.DefaultOptions()))
-	var victim *proc
+	var victim *e2e.Proc
 	for i, u := range urls {
 		if u == victimURL {
 			victim = workers[i]
 		}
 	}
 	fresh := freshVictimItem(string(example), ring, victimURL)
-	freshDirect, err := directFindings(fresh.Source)
+	freshDirect, err := e2e.DirectFindings(fresh.Source, canary.DefaultOptions())
 	if err != nil {
 		return err
 	}
-	victim.cmd.Process.Kill()
-	victim.cmd.Wait()
-	victim.dead = true
+	victim.Kill()
 	fmt.Println("fleet-smoke: killed worker", victimURL)
 
 	after, err := postBatch(base, append(append([]api.AnalyzeItem{}, corpus...), fresh))
@@ -181,14 +174,9 @@ func run() error {
 
 	// The router must have failed over at least once and, once the prober
 	// catches up, report the victim down.
-	metrics, err := get(base + "/metrics")
-	if err != nil {
-		return err
-	}
-	var failovers uint64
-	fmt.Sscanf(lineWith(metrics, "router_failovers_total "), "router_failovers_total %d", &failovers)
+	failovers := e2e.Counter(base, "router_failovers_total")
 	if failovers == 0 {
-		return fmt.Errorf("router_failovers_total is 0 after killing a worker:\n%s", metrics)
+		return fmt.Errorf("router_failovers_total is 0 after killing a worker")
 	}
 	if err := waitWorkerState(base, victimURL, "down"); err != nil {
 		return err
@@ -196,65 +184,11 @@ func run() error {
 	fmt.Printf("fleet-smoke: %d failover(s), victim reported down\n", failovers)
 
 	// Clean shutdown: SIGTERM must drain and exit 0.
-	if err := router.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+	if err := router.Terminate(30 * time.Second); err != nil {
 		return err
-	}
-	waitErr := make(chan error, 1)
-	go func() { waitErr <- router.cmd.Wait() }()
-	select {
-	case err := <-waitErr:
-		router.dead = true
-		if err != nil {
-			return fmt.Errorf("router exit after SIGTERM: %v", err)
-		}
-	case <-time.After(30 * time.Second):
-		return fmt.Errorf("router did not exit within 30s of SIGTERM")
 	}
 	fmt.Println("fleet-smoke: clean router shutdown")
 	return nil
-}
-
-// proc is one spawned child with the address scraped from its first
-// stdout line.
-type proc struct {
-	addr string
-	cmd  *exec.Cmd
-	dead bool
-}
-
-func (p *proc) kill() {
-	if p == nil || p.dead {
-		return
-	}
-	p.cmd.Process.Kill()
-	p.cmd.Wait()
-	p.dead = true
-}
-
-// startProc starts cmd, scrapes "<prefix><addr>" from its first stdout
-// line, and keeps the pipe drained.
-func startProc(cmd *exec.Cmd, prefix string) (*proc, error) {
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		return nil, err
-	}
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		return nil, err
-	}
-	p := &proc{cmd: cmd}
-	sc := bufio.NewScanner(stdout)
-	if !sc.Scan() {
-		p.kill()
-		return nil, fmt.Errorf("%s exited before announcing its address", cmd.Path)
-	}
-	p.addr = strings.TrimPrefix(sc.Text(), prefix)
-	if p.addr == sc.Text() {
-		p.kill()
-		return nil, fmt.Errorf("unexpected first stdout line %q", sc.Text())
-	}
-	go io.Copy(io.Discard, stdout)
-	return p, nil
 }
 
 // padSource gives the shared example a distinct content address per item.
@@ -275,36 +209,6 @@ func freshVictimItem(base string, ring *fleet.Ring, victimURL string) api.Analyz
 	}
 }
 
-// directFindings runs the library in-process and returns the compacted
-// findings bytes.
-func directFindings(src string) (string, error) {
-	r, err := canary.Analyze(src, canary.DefaultOptions())
-	if err != nil {
-		return "", err
-	}
-	raw, err := json.Marshal(r)
-	if err != nil {
-		return "", err
-	}
-	return findingsOf(raw)
-}
-
-// findingsOf extracts the compacted Reports array from a serialized
-// result (timings vary run to run; the findings bytes may not).
-func findingsOf(result json.RawMessage) (string, error) {
-	var m struct {
-		Reports json.RawMessage `json:"Reports"`
-	}
-	if err := json.Unmarshal(result, &m); err != nil {
-		return "", err
-	}
-	var buf bytes.Buffer
-	if err := json.Compact(&buf, m.Reports); err != nil {
-		return "", err
-	}
-	return buf.String(), nil
-}
-
 // compareFindings checks every batch item's findings against the direct
 // baseline, byte for byte.
 func compareFindings(items []api.JobResponse, want []string) error {
@@ -315,7 +219,7 @@ func compareFindings(items []api.JobResponse, want []string) error {
 		if it.Status != "done" {
 			return fmt.Errorf("item %d status %q (error %q)", i, it.Status, it.Error)
 		}
-		got, err := findingsOf(it.Result)
+		got, err := e2e.Findings(it.Result)
 		if err != nil {
 			return fmt.Errorf("item %d: %w", i, err)
 		}
@@ -328,104 +232,16 @@ func compareFindings(items []api.JobResponse, want []string) error {
 
 // postBatch submits items as one batch request.
 func postBatch(base string, items []api.AnalyzeItem) (*api.BatchResponse, error) {
-	body, err := json.Marshal(api.AnalyzeRequest{Items: items})
-	if err != nil {
-		return nil, err
-	}
-	resp, err := http.Post(base+"/v1/analyze", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	buf, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("batch POST /v1/analyze: %s: %s", resp.Status, buf)
-	}
 	var br api.BatchResponse
-	return &br, json.Unmarshal(buf, &br)
-}
-
-// routerHealth is the router's /healthz?format=json body.
-type routerHealth struct {
-	Status  string `json:"status"`
-	Workers []struct {
-		URL   string `json:"url"`
-		State string `json:"state"`
-	} `json:"workers"`
-}
-
-func getHealth(base string) (routerHealth, error) {
-	var h routerHealth
-	resp, err := http.Get(base + "/healthz?format=json")
-	if err != nil {
-		return h, err
-	}
-	defer resp.Body.Close()
-	return h, json.NewDecoder(resp.Body).Decode(&h)
-}
-
-// waitWorkersUp polls the router until want workers report "up".
-func waitWorkersUp(base string, want int) error {
-	deadline := time.Now().Add(15 * time.Second)
-	for time.Now().Before(deadline) {
-		h, err := getHealth(base)
-		if err == nil {
-			up := 0
-			for _, w := range h.Workers {
-				if w.State == "up" {
-					up++
-				}
-			}
-			if up >= want {
-				return nil
-			}
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-	return fmt.Errorf("router never reported %d workers up", want)
+	return &br, e2e.PostJSON(base+"/v1/analyze", api.AnalyzeRequest{Items: items}, &br)
 }
 
 // waitWorkerState polls the router until worker url reports state.
 func waitWorkerState(base, url, state string) error {
-	deadline := time.Now().Add(15 * time.Second)
-	for time.Now().Before(deadline) {
-		h, err := getHealth(base)
-		if err == nil {
-			for _, w := range h.Workers {
-				if w.URL == url && w.State == state {
-					return nil
-				}
-			}
-		}
-		time.Sleep(100 * time.Millisecond)
+	if _, ok := e2e.Poll(15*time.Second, 100*time.Millisecond, func() bool {
+		return e2e.WorkerStates(base)[url] == state
+	}); !ok {
+		return fmt.Errorf("router never reported %s %s", url, state)
 	}
-	return fmt.Errorf("router never reported %s %s", url, state)
-}
-
-func lineWith(text, prefix string) string {
-	for _, ln := range strings.Split(text, "\n") {
-		if strings.HasPrefix(ln, prefix) {
-			return ln
-		}
-	}
-	return ""
-}
-
-func get(url string) (string, error) {
-	resp, err := http.Get(url)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return "", err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("GET %s: %s", url, resp.Status)
-	}
-	return string(body), nil
+	return nil
 }

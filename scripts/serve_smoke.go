@@ -12,22 +12,20 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"reflect"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
+	"canary/internal/api"
+	"canary/internal/e2e"
 	"canary/internal/pipeline"
 )
 
@@ -48,27 +46,24 @@ func run() error {
 	}
 	defer os.RemoveAll(tmp)
 
-	daemonBin := filepath.Join(tmp, "canaryd")
-	cliBin := filepath.Join(tmp, "canary")
-	for bin, pkg := range map[string]string{daemonBin: "./cmd/canaryd", cliBin: "./cmd/canary"} {
-		if out, err := exec.Command("go", "build", "-o", bin, pkg).CombinedOutput(); err != nil {
-			return fmt.Errorf("building %s: %v\n%s", pkg, err, out)
-		}
+	daemonBin, err := e2e.Build(tmp, "./cmd/canaryd")
+	if err != nil {
+		return err
+	}
+	cliBin, err := e2e.Build(tmp, "./cmd/canary")
+	if err != nil {
+		return err
 	}
 
 	// Start the daemon on a random port and scrape the announced address.
 	// The small request-body cap exercises the 413 path cheaply below.
-	daemon := exec.Command(daemonBin, "-addr", "127.0.0.1:0", "-max-request-bytes", "65536")
-	base, cleanup, err := startDaemon(daemon)
+	daemon, err := e2e.Start(exec.Command(daemonBin, "-addr", "127.0.0.1:0", "-max-request-bytes", "65536"),
+		"canaryd listening on ")
 	if err != nil {
 		return err
 	}
-	exited := false
-	defer func() {
-		if !exited {
-			cleanup()
-		}
-	}()
+	defer daemon.Kill()
+	base := daemon.URL()
 	fmt.Println("serve-smoke: daemon at", base)
 
 	if body, err := get(base + "/healthz"); err != nil {
@@ -164,7 +159,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	resp, buf, err := post(base+"/v1/analyze", big)
+	resp, buf, err := e2e.Post(base+"/v1/analyze", big)
 	if err != nil {
 		return err
 	}
@@ -184,52 +179,11 @@ func run() error {
 	}
 
 	// Clean shutdown: SIGTERM must drain and exit 0.
-	if err := daemon.Process.Signal(syscall.SIGTERM); err != nil {
+	if err := daemon.Terminate(30 * time.Second); err != nil {
 		return err
-	}
-	waitErr := make(chan error, 1)
-	go func() { waitErr <- daemon.Wait() }()
-	select {
-	case err := <-waitErr:
-		exited = true
-		if err != nil {
-			return fmt.Errorf("daemon exit after SIGTERM: %v", err)
-		}
-	case <-time.After(30 * time.Second):
-		return fmt.Errorf("daemon did not exit within 30s of SIGTERM")
 	}
 	fmt.Println("serve-smoke: clean shutdown")
 	return nil
-}
-
-// startDaemon starts cmd (a canaryd invocation with -addr 127.0.0.1:0),
-// scrapes the announced address from its first stdout line, and returns
-// the base URL plus a kill-and-reap cleanup.
-func startDaemon(cmd *exec.Cmd) (base string, cleanup func(), err error) {
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		return "", nil, err
-	}
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		return "", nil, err
-	}
-	cleanup = func() {
-		cmd.Process.Kill()
-		cmd.Wait()
-	}
-	sc := bufio.NewScanner(stdout)
-	if !sc.Scan() {
-		cleanup()
-		return "", nil, fmt.Errorf("daemon exited before announcing its address")
-	}
-	addr := strings.TrimPrefix(sc.Text(), "canaryd listening on ")
-	if addr == sc.Text() {
-		cleanup()
-		return "", nil, fmt.Errorf("unexpected first stdout line %q", sc.Text())
-	}
-	go io.Copy(io.Discard, stdout) // keep the pipe drained
-	return "http://" + addr, cleanup, nil
 }
 
 // backpressurePhase proves the queue-full path: a daemon with one worker,
@@ -237,14 +191,15 @@ func startDaemon(cmd *exec.Cmd) (base string, cleanup func(), err error) {
 // overflow submission with 503 + Retry-After, and the jittered retry
 // helper must then get the same submission through.
 func backpressurePhase(daemonBin, src string) error {
-	daemon := exec.Command(daemonBin, "-addr", "127.0.0.1:0",
+	cmd := exec.Command(daemonBin, "-addr", "127.0.0.1:0",
 		"-max-concurrent", "1", "-queue-depth", "1")
-	daemon.Env = append(os.Environ(), "CANARY_FAILPOINTS=job-dequeue=sleep:500ms")
-	base, cleanup, err := startDaemon(daemon)
+	cmd.Env = append(os.Environ(), "CANARY_FAILPOINTS=job-dequeue=sleep:500ms")
+	daemon, err := e2e.Start(cmd, "canaryd listening on ")
 	if err != nil {
 		return err
 	}
-	defer cleanup()
+	defer daemon.Kill()
+	base := daemon.URL()
 
 	// Distinct max_dfs_steps values give every submission a distinct
 	// content address, so none is answered from the result cache.
@@ -262,7 +217,7 @@ func backpressurePhase(daemonBin, src string) error {
 	}
 	var rejected []byte
 	for i := 0; i < 8; i++ {
-		resp, buf, err := post(base+"/v1/analyze", body(i))
+		resp, buf, err := e2e.Post(base+"/v1/analyze", body(i))
 		if err != nil {
 			return err
 		}
@@ -291,20 +246,6 @@ func backpressurePhase(daemonBin, src string) error {
 	return nil
 }
 
-// post POSTs a JSON body and returns the response with its body read.
-func post(url string, body []byte) (*http.Response, []byte, error) {
-	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return nil, nil, err
-	}
-	defer resp.Body.Close()
-	buf, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, nil, err
-	}
-	return resp, buf, nil
-}
-
 // postRetry is post with backpressure handling: on 503 it waits the
 // server's Retry-After (or an exponential fallback) scaled by a random
 // jitter in [0.5x, 1.5x) — so herds of rejected clients desynchronize —
@@ -312,7 +253,7 @@ func post(url string, body []byte) (*http.Response, []byte, error) {
 func postRetry(url string, body []byte, maxAttempts int) (*http.Response, []byte, error) {
 	backoff := 200 * time.Millisecond
 	for attempt := 1; ; attempt++ {
-		resp, buf, err := post(url, body)
+		resp, buf, err := e2e.Post(url, body)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -332,33 +273,9 @@ func postRetry(url string, body []byte, maxAttempts int) (*http.Response, []byte
 	}
 }
 
-type jobResponse struct {
-	JobID  string          `json:"job_id"`
-	Status string          `json:"status"`
-	Cached bool            `json:"cached"`
-	Error  string          `json:"error"`
-	Result json.RawMessage `json:"result"`
-}
-
-func analyze(base, src string) (jobResponse, error) {
-	var jr jobResponse
-	body, err := json.Marshal(map[string]any{"source": src})
-	if err != nil {
-		return jr, err
-	}
-	resp, err := http.Post(base+"/v1/analyze", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return jr, err
-	}
-	defer resp.Body.Close()
-	buf, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return jr, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return jr, fmt.Errorf("POST /v1/analyze: %s: %s", resp.Status, buf)
-	}
-	return jr, json.Unmarshal(buf, &jr)
+func analyze(base, src string) (api.JobResponse, error) {
+	var jr api.JobResponse
+	return jr, e2e.PostJSON(base+"/v1/analyze", map[string]any{"source": src}, &jr)
 }
 
 // reportsOf extracts the Reports field of a canary.Result encoding in a
@@ -374,12 +291,7 @@ func reportsOf(result []byte) (any, error) {
 }
 
 func get(url string) (string, error) {
-	resp, err := http.Get(url)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	resp, body, err := e2e.Get(url)
 	if err != nil {
 		return "", err
 	}

@@ -14,21 +14,18 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"strings"
-	"syscall"
 	"time"
 
 	"canary"
 	"canary/internal/api"
+	"canary/internal/e2e"
 )
 
 // smokeSrc is the same inter-thread use-after-free the server unit
@@ -63,34 +60,30 @@ func run() error {
 	}
 	defer os.RemoveAll(tmp)
 
-	bin := filepath.Join(tmp, "canaryd")
-	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/canaryd").CombinedOutput(); err != nil {
-		return fmt.Errorf("building canaryd: %v\n%s", err, out)
+	bin, err := e2e.Build(tmp, "./cmd/canaryd")
+	if err != nil {
+		return err
 	}
 
 	// A one-second idle TTL gives the janitor a 250ms sweep, so the
 	// eviction phase completes in a couple of seconds.
-	daemon := exec.Command(bin, "-addr", "127.0.0.1:0", "-session-idle-ttl", "1s")
-	base, cleanup, err := startDaemon(daemon)
+	daemon, err := e2e.Start(exec.Command(bin, "-addr", "127.0.0.1:0", "-session-idle-ttl", "1s"),
+		"canaryd listening on ")
 	if err != nil {
 		return err
 	}
-	exited := false
-	defer func() {
-		if !exited {
-			cleanup()
-		}
-	}()
+	defer daemon.Kill()
+	base := daemon.URL()
 	fmt.Println("sessions-smoke: daemon at", base)
 
 	// Open a named session; its delta is the full initial findings.
-	status, body, err := post(base+"/v1/sessions",
+	resp, body, err := e2e.Post(base+"/v1/sessions",
 		mustJSON(map[string]any{"session_id": "smoke-ide", "source": smokeSrc}))
 	if err != nil {
 		return err
 	}
-	if status != http.StatusCreated {
-		return fmt.Errorf("open: status %d, body %s", status, body)
+	if resp.StatusCode != http.StatusCreated {
+		return fmt.Errorf("open: status %d, body %s", resp.StatusCode, body)
 	}
 	var open api.DeltaResponse
 	if err := json.Unmarshal(body, &open); err != nil {
@@ -111,14 +104,14 @@ func run() error {
 
 	// Re-opening the same client-chosen ID must be refused with a typed
 	// 409 while the first session stays untouched.
-	status, body, err = post(base+"/v1/sessions",
+	resp, body, err = e2e.Post(base+"/v1/sessions",
 		mustJSON(map[string]any{"session_id": "smoke-ide", "source": smokeSrc}))
 	if err != nil {
 		return err
 	}
-	if status != http.StatusConflict || errCode(body) != api.CodeDuplicateSession {
+	if resp.StatusCode != http.StatusConflict || errCode(body) != api.CodeDuplicateSession {
 		return fmt.Errorf("duplicate open: status %d code %q, want 409 %q (%s)",
-			status, errCode(body), api.CodeDuplicateSession, body)
+			resp.StatusCode, errCode(body), api.CodeDuplicateSession, body)
 	}
 
 	// Edit 1: a trailing comment. Canonically a no-op — the session must
@@ -165,30 +158,30 @@ func run() error {
 	// Malformed and unappliable edits: a zero start line is refused at
 	// the wire (400), a span beyond EOF by the engine (422) — and
 	// neither advances the revision.
-	status, body, err = post(sess+"/edits", []byte(`{"edits":[{"start":0,"end":0,"text":"x"}]}`))
+	resp, body, err = e2e.Post(sess+"/edits", []byte(`{"edits":[{"start":0,"end":0,"text":"x"}]}`))
 	if err != nil {
 		return err
 	}
-	if status != http.StatusBadRequest {
-		return fmt.Errorf("zero start line: status %d, want 400 (%s)", status, body)
+	if resp.StatusCode != http.StatusBadRequest {
+		return fmt.Errorf("zero start line: status %d, want 400 (%s)", resp.StatusCode, body)
 	}
-	status, body, err = post(sess+"/edits", []byte(`{"edits":[{"start":99,"end":99,"text":"x = 1;\n"}]}`))
+	resp, body, err = e2e.Post(sess+"/edits", []byte(`{"edits":[{"start":99,"end":99,"text":"x = 1;\n"}]}`))
 	if err != nil {
 		return err
 	}
-	if status != http.StatusUnprocessableEntity || errCode(body) != api.CodeEditRejected {
+	if resp.StatusCode != http.StatusUnprocessableEntity || errCode(body) != api.CodeEditRejected {
 		return fmt.Errorf("out-of-range span: status %d code %q, want 422 %q (%s)",
-			status, errCode(body), api.CodeEditRejected, body)
+			resp.StatusCode, errCode(body), api.CodeEditRejected, body)
 	}
 
 	// The accumulated client-side fold must be byte-identical to the
 	// server's own findings snapshot.
-	status, body, err = get(sess + "/findings")
+	resp, body, err = e2e.Get(sess + "/findings")
 	if err != nil {
 		return err
 	}
-	if status != http.StatusOK {
-		return fmt.Errorf("findings: status %d (%s)", status, body)
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("findings: status %d (%s)", resp.StatusCode, body)
 	}
 	var fr api.FindingsResponse
 	if err := json.Unmarshal(body, &fr); err != nil {
@@ -211,11 +204,11 @@ func run() error {
 	evicted := false
 	for attempt := 0; attempt < 5 && !evicted; attempt++ {
 		time.Sleep(1500 * time.Millisecond)
-		status, body, err = get(sess + "/findings")
+		resp, body, err = e2e.Get(sess + "/findings")
 		if err != nil {
 			return err
 		}
-		if status == http.StatusNotFound {
+		if resp.StatusCode == http.StatusNotFound {
 			if errCode(body) != api.CodeUnknownSession {
 				return fmt.Errorf("evicted session code %q, want %q", errCode(body), api.CodeUnknownSession)
 			}
@@ -225,12 +218,12 @@ func run() error {
 	if !evicted {
 		return fmt.Errorf("session not evicted after its 1s idle TTL")
 	}
-	status, body, err = get(base + "/metrics")
+	resp, body, err = e2e.Get(base + "/metrics")
 	if err != nil {
 		return err
 	}
-	if status != http.StatusOK {
-		return fmt.Errorf("/metrics: status %d", status)
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("/metrics: status %d", resp.StatusCode)
 	}
 	for _, want := range []string{
 		"canaryd_sessions_open 0",
@@ -246,88 +239,27 @@ func run() error {
 	fmt.Println("sessions-smoke: TTL eviction and session metrics ok")
 
 	// Clean shutdown: SIGTERM must drain and exit 0.
-	if err := daemon.Process.Signal(syscall.SIGTERM); err != nil {
+	if err := daemon.Terminate(30 * time.Second); err != nil {
 		return err
-	}
-	waitErr := make(chan error, 1)
-	go func() { waitErr <- daemon.Wait() }()
-	select {
-	case err := <-waitErr:
-		exited = true
-		if err != nil {
-			return fmt.Errorf("daemon exit after SIGTERM: %v", err)
-		}
-	case <-time.After(30 * time.Second):
-		return fmt.Errorf("daemon did not exit within 30s of SIGTERM")
 	}
 	fmt.Println("sessions-smoke: clean shutdown")
 	return nil
 }
 
-// startDaemon starts cmd (a canaryd invocation with -addr 127.0.0.1:0),
-// scrapes the announced address from its first stdout line, and returns
-// the base URL plus a kill-and-reap cleanup.
-func startDaemon(cmd *exec.Cmd) (base string, cleanup func(), err error) {
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		return "", nil, err
-	}
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		return "", nil, err
-	}
-	cleanup = func() {
-		cmd.Process.Kill()
-		cmd.Wait()
-	}
-	sc := bufio.NewScanner(stdout)
-	if !sc.Scan() {
-		cleanup()
-		return "", nil, fmt.Errorf("daemon exited before announcing its address")
-	}
-	addr := strings.TrimPrefix(sc.Text(), "canaryd listening on ")
-	if addr == sc.Text() {
-		cleanup()
-		return "", nil, fmt.Errorf("unexpected first stdout line %q", sc.Text())
-	}
-	go io.Copy(io.Discard, stdout) // keep the pipe drained
-	return "http://" + addr, cleanup, nil
-}
-
 // edit POSTs one edit batch and decodes the 200 delta response.
 func edit(sess, body string) (*api.DeltaResponse, error) {
-	status, buf, err := post(sess+"/edits", []byte(body))
+	resp, buf, err := e2e.Post(sess+"/edits", []byte(body))
 	if err != nil {
 		return nil, err
 	}
-	if status != http.StatusOK {
-		return nil, fmt.Errorf("edit %s: status %d (%s)", body, status, buf)
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("edit %s: status %d (%s)", body, resp.StatusCode, buf)
 	}
 	var dr api.DeltaResponse
 	if err := json.Unmarshal(buf, &dr); err != nil {
 		return nil, err
 	}
 	return &dr, nil
-}
-
-func post(url string, body []byte) (int, []byte, error) {
-	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	buf, err := io.ReadAll(resp.Body)
-	return resp.StatusCode, buf, err
-}
-
-func get(url string) (int, []byte, error) {
-	resp, err := http.Get(url)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	buf, err := io.ReadAll(resp.Body)
-	return resp.StatusCode, buf, err
 }
 
 // errCode extracts the machine code of a typed JSON error body.

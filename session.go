@@ -9,11 +9,13 @@ import (
 	"sync/atomic"
 	"time"
 
+	"canary/internal/bitset"
 	"canary/internal/cache"
 	"canary/internal/core"
 	"canary/internal/digest"
 	"canary/internal/diskstore"
 	"canary/internal/failpoint"
+	"canary/internal/guard"
 	"canary/internal/ir"
 	"canary/internal/lang"
 	"canary/internal/pipeline"
@@ -144,26 +146,69 @@ type DiskStats struct {
 	Entries        int64  `json:"entries"`
 }
 
-// DiskStats returns the persistent-store counters (zero for nil and
-// memory-only sessions).
-func (s *Session) DiskStats() DiskStats {
-	if s == nil || s.disk == nil {
-		return DiskStats{}
+// Stats is one snapshot of the counters behind a session's analyses:
+// the session's own warm stores and recovery bookkeeping, its persistent
+// store, and the process-wide hot-path structures every analysis in the
+// process shares.
+type Stats struct {
+	// SummaryHits/SummaryMisses and VerdictHits/VerdictMisses are the
+	// cumulative lookups of the per-function summary store and the SMT
+	// verdict store.
+	SummaryHits, SummaryMisses uint64
+	VerdictHits, VerdictMisses uint64
+	// PanicsRecovered counts pipeline panics this session's analyses
+	// recovered into ErrInternal errors; QuarantinedSummaries counts the
+	// summary entries Quarantine evicted as possibly poisoned.
+	PanicsRecovered      uint64
+	QuarantinedSummaries uint64
+	// Disk holds the persistent-store counters.
+	Disk DiskStats
+	// The process-wide counters. GuardInternHits/GuardInternMisses count
+	// lookups in the guard hash-cons interner: hits concentrate where
+	// structured formulas are built repeatedly (lowering, Φ_ls/Φ_po
+	// encoding), and VFGStats.CacheHits is the per-build slice of them.
+	// GuardInterned is the interner's live table size, BitsetWords the
+	// cumulative uint64 words allocated by bitset-backed points-to and
+	// location sets, and BatchedEvals the formula evaluations served by
+	// the batched assignment-slice evaluator instead of per-call maps.
+	GuardInternHits, GuardInternMisses uint64
+	GuardInterned                      int64
+	BitsetWords                        int64
+	BatchedEvals                       uint64
+}
+
+// Stats returns a snapshot of the session's counters. A nil or
+// memory-only session reports zero for what it does not have; the
+// process-wide counters are filled either way.
+func (s *Session) Stats() Stats {
+	var st Stats
+	st.GuardInternHits, st.GuardInternMisses = guard.InternStats()
+	st.GuardInterned = guard.InternedCount()
+	st.BitsetWords = bitset.WordsAllocated()
+	st.BatchedEvals = guard.BatchedEvals()
+	if s == nil {
+		return st
 	}
-	st := s.disk.Stats()
-	out := DiskStats{
-		Hits:           st.Hits,
-		Misses:         st.Misses,
-		Writes:         st.Writes,
-		CorruptEntries: st.CorruptEntries,
-		GCEvictions:    st.GCEvictions,
-		Bytes:          st.Bytes,
-		Entries:        st.Entries,
+	st.SummaryHits, st.SummaryMisses = s.summaries.Stats()
+	st.VerdictHits, st.VerdictMisses = s.verdicts.Stats()
+	st.PanicsRecovered = s.panics.Load()
+	st.QuarantinedSummaries = s.quarantined.Load()
+	if s.disk != nil {
+		ds := s.disk.Stats()
+		st.Disk = DiskStats{
+			Hits:           ds.Hits,
+			Misses:         ds.Misses,
+			Writes:         ds.Writes,
+			CorruptEntries: ds.CorruptEntries,
+			GCEvictions:    ds.GCEvictions,
+			Bytes:          ds.Bytes,
+			Entries:        ds.Entries,
+		}
+		for _, t := range s.tiers {
+			st.Disk.DroppedWrites += t.DroppedWrites()
+		}
 	}
-	for _, t := range s.tiers {
-		out.DroppedWrites += t.DroppedWrites()
-	}
-	return out
+	return st
 }
 
 // ErrNoDiskStore is returned by ExportWarm/ImportWarm on a session
@@ -198,42 +243,6 @@ func (s *Session) verdictStore() *smt.VerdictStore {
 		return nil
 	}
 	return s.verdicts
-}
-
-// SummaryStats returns the cumulative hit/miss counts of the per-function
-// summary store (zero for a nil session).
-func (s *Session) SummaryStats() (hits, misses uint64) {
-	if s == nil {
-		return 0, 0
-	}
-	return s.summaries.Stats()
-}
-
-// VerdictStats returns the cumulative hit/miss counts of the SMT verdict
-// store (zero for a nil session).
-func (s *Session) VerdictStats() (hits, misses uint64) {
-	if s == nil {
-		return 0, 0
-	}
-	return s.verdicts.Stats()
-}
-
-// PanicsRecovered returns how many pipeline panics this session's
-// analyses have recovered into ErrInternal errors (zero for nil).
-func (s *Session) PanicsRecovered() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.panics.Load()
-}
-
-// QuarantinedSummaries returns how many per-function summary entries
-// Quarantine has evicted from this session's store (zero for nil).
-func (s *Session) QuarantinedSummaries() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.quarantined.Load()
 }
 
 // Quarantine evicts every per-function summary of src from the session's
@@ -279,16 +288,14 @@ func (s *Session) recordPanic(src string) {
 	s.Quarantine(src)
 }
 
-// Analyze is Analyze running against the session's warm stores.
-func (s *Session) Analyze(src string, opt Options) (*Result, error) {
-	return s.AnalyzeContext(context.Background(), src, opt)
-}
-
-// AnalyzeContext is AnalyzeContext running against the session's warm
-// stores. It is implemented as a live session opened and discarded in
-// one call, so the one-shot and edit-streaming entry points share a
-// single analysis spine rather than maintaining two.
-func (s *Session) AnalyzeContext(ctx context.Context, src string, opt Options) (*Result, error) {
+// Analyze is the package-level Analyze running against the session's
+// warm stores, with cooperative cancellation: both the VFG fixpoint
+// (between rounds) and the checking stage (between source–sink searches)
+// poll ctx, so a canceled or deadline-bounded analysis returns promptly
+// with an error wrapping ErrCanceled. It is implemented as a live session
+// opened and discarded in one call, so the one-shot and edit-streaming
+// entry points share a single analysis spine rather than maintaining two.
+func (s *Session) Analyze(ctx context.Context, src string, opt Options) (*Result, error) {
 	live, _, err := s.OpenLive(ctx, src, opt, LiveConfig{})
 	if err != nil {
 		return nil, err
@@ -296,11 +303,6 @@ func (s *Session) AnalyzeContext(ctx context.Context, src string, opt Options) (
 	res := live.Result()
 	live.Close()
 	return res, nil
-}
-
-// NewAnalysis is NewAnalysis running against the session's warm stores.
-func (s *Session) NewAnalysis(src string, opt Options) (*Analysis, error) {
-	return s.NewAnalysisContext(context.Background(), src, opt)
 }
 
 // classifyStageErr converts an error escaping a pipeline.Runner stage
@@ -318,11 +320,14 @@ func classifyStageErr(s *Session, src string, err error) error {
 	return wrapAbort(err)
 }
 
-// NewAnalysisContext parses and lowers src and builds the VFG, loading the
-// transfer summaries of digest-unchanged functions from the session's
-// store instead of recomputing them. The checking stage of the returned
-// Analysis consults the session's verdict store. A nil receiver degrades
-// to the cold path (every function analyzed, every query solved).
+// NewAnalysis parses and lowers src and builds the interference-aware
+// VFG once, loading the transfer summaries of digest-unchanged functions
+// from the session's store instead of recomputing them. Use Check to run
+// (possibly several rounds of) checkers over it; the checking stage
+// consults the session's verdict store. A nil receiver degrades to the
+// cold path (every function analyzed, every query solved). The VFG
+// fixpoint checks ctx between rounds and aborts with an error wrapping
+// ErrCanceled (and the context cause) when it is done.
 //
 // Every stage runs through the pipeline.Runner, which uniformly applies
 // the cancellation checkpoint, entry-site fault injection, panic capture,
@@ -330,8 +335,8 @@ func classifyStageErr(s *Session, src string, err error) error {
 // error wrapping ErrInternal, after quarantining src's per-function
 // summaries from the session so one poisoned run cannot corrupt warm
 // state for later jobs.
-func (s *Session) NewAnalysisContext(ctx context.Context, src string, opt Options) (*Analysis, error) {
-	return s.newAnalysisContext(ctx, src, opt, analysisInput{})
+func (s *Session) NewAnalysis(ctx context.Context, src string, opt Options) (*Analysis, error) {
+	return s.newAnalysis(ctx, src, opt, analysisInput{})
 }
 
 // analysisInput carries work a caller already did into the spine. A
@@ -344,7 +349,7 @@ type analysisInput struct {
 	keys map[string]cache.Key
 }
 
-func (s *Session) newAnalysisContext(ctx context.Context, src string, opt Options, in analysisInput) (a *Analysis, err error) {
+func (s *Session) newAnalysis(ctx context.Context, src string, opt Options, in analysisInput) (a *Analysis, err error) {
 	defer func() {
 		// Last-resort net for panics outside the runner-wrapped stages.
 		if r := recover(); r != nil {
@@ -409,11 +414,13 @@ func (s *Session) newAnalysisContext(ctx context.Context, src string, opt Option
 
 	// The VFG build interleaves the MHP, Alg. 1 data-dependence, and
 	// Alg. 2 interference passes inside one fixpoint; the builder times
-	// each internally, the vfg span keeps the residual (merge and
-	// bookkeeping), and the three sub-stages are recorded as their own
-	// spans below so the trace partitions the build's wall-clock.
+	// each internally, the vfg span keeps the residual of its own wall
+	// time (merge and bookkeeping), and the three sub-stages are recorded
+	// as their own spans below so the trace partitions the build's
+	// wall-clock.
 	var b *core.Builder
 	if err := run.Run(ctx, pipeline.StageVFG, func(sp *pipeline.Span) error {
+		start := time.Now()
 		var berr error
 		b, berr = core.BuildContext(ctx, prog, core.BuildOptions{
 			EnableMHP:       opt.EnableMHP,
@@ -430,9 +437,10 @@ func (s *Session) newAnalysisContext(ctx context.Context, src string, opt Option
 		sp.Steps = int64(st.Iterations)
 		sp.Budget = int64(opt.Budgets.MaxFixpointRounds)
 		sp.CacheHits = st.GuardCacheHits
-		if residual := st.BuildTime - st.MHPTime - st.DataDepTime - st.InterferTime; residual > 0 {
-			sp.Wall = residual
-		}
+		// The sub-stage times are disjoint slices of this call, so the
+		// residual is never negative; the floor keeps it non-zero, since
+		// the runner fills a zero Wall with the whole call.
+		sp.Wall = max(time.Since(start)-st.MHPTime-st.DataDepTime-st.InterferTime, time.Nanosecond)
 		return berr
 	}); err != nil {
 		return nil, classifyStageErr(s, src, err)
@@ -519,15 +527,15 @@ type LiveSession struct {
 	reports []Report
 }
 
-// Open runs the initial full analysis of src and returns the live
-// session together with its opening delta (Seq 0, every finding Added —
-// folding it into an empty findings list yields the initial findings).
+// Open is OpenLive with a background context and the default
+// LiveConfig.
 func (s *Session) Open(src string, opt Options) (*LiveSession, *FindingsDelta, error) {
 	return s.OpenLive(context.Background(), src, opt, LiveConfig{})
 }
 
-// OpenLive is Open with cooperative cancellation and live-session
-// configuration.
+// OpenLive runs the initial full analysis of src and returns the live
+// session together with its opening delta (Seq 0, every finding Added —
+// folding it into an empty findings list yields the initial findings).
 func (s *Session) OpenLive(ctx context.Context, src string, opt Options, lc LiveConfig) (*LiveSession, *FindingsDelta, error) {
 	l := &LiveSession{s: s, opt: opt, lc: lc}
 	res, keys, err := l.runSpine(ctx, src, analysisInput{})
@@ -551,22 +559,22 @@ func (s *Session) OpenLive(ctx context.Context, src string, opt Options, lc Live
 // on, so callers can keep an invalidation baseline without re-digesting.
 func (l *LiveSession) runSpine(ctx context.Context, src string, in analysisInput) (*Result, map[string]cache.Key, error) {
 	if l.lc.StageTimeout <= 0 {
-		a, err := l.s.newAnalysisContext(ctx, src, l.opt, in)
+		a, err := l.s.newAnalysis(ctx, src, l.opt, in)
 		if err != nil {
 			return nil, nil, err
 		}
-		res, err := a.CheckContext(ctx)
+		res, err := a.Check(ctx)
 		return res, a.keys, err
 	}
 	buildCtx, cancelBuild := context.WithTimeout(ctx, l.lc.StageTimeout)
-	a, err := l.s.newAnalysisContext(buildCtx, src, l.opt, in)
+	a, err := l.s.newAnalysis(buildCtx, src, l.opt, in)
 	cancelBuild()
 	if err != nil {
 		return nil, nil, err
 	}
 	checkCtx, cancelCheck := context.WithTimeout(ctx, l.lc.StageTimeout)
 	defer cancelCheck()
-	res, err := a.CheckContext(checkCtx)
+	res, err := a.Check(checkCtx)
 	return res, a.keys, err
 }
 

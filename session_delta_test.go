@@ -73,7 +73,7 @@ func TestSessionDeltaDeterminism(t *testing.T) {
 			src := string(data)
 
 			sess := NewSession()
-			live, d, err := sess.Open(src, opt)
+			live, d, err := sess.OpenLive(context.Background(), src, opt, LiveConfig{})
 			if err != nil {
 				t.Fatalf("Open: %v", err)
 			}
@@ -183,7 +183,7 @@ func TestLiveSessionRaceHammer16(t *testing.T) {
 				errs <- err
 				return
 			}
-			live, d, err := sess.Open(string(data), opt)
+			live, d, err := sess.OpenLive(context.Background(), string(data), opt, LiveConfig{})
 			if err != nil {
 				errs <- fmt.Errorf("goroutine %d: Open: %w", g, err)
 				return
