@@ -8,11 +8,13 @@ GO ?= go
 ## tests of the separate perfbench module (so an API change cannot break
 ## the benchmark harness unseen), the short fuzzer smokes, the end-to-end
 ## daemon, session, fleet, and chaos smoke tests, and one-iteration smokes
-## of the incremental, hotpath, persist, and sessions benchmarks.
+## of the interference, incremental, hotpath, persist, and sessions
+## benchmarks.
 check: lint
 	$(GO) build ./...
 	$(GO) test -race ./...
 	cd perfbench && $(GO) vet . && $(GO) test .
+	$(GO) test -run - -bench InterferenceEval -benchtime 1x ./internal/core
 	$(MAKE) fuzz-smoke
 	$(MAKE) serve-smoke
 	$(MAKE) sessions-smoke

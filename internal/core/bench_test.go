@@ -13,9 +13,16 @@ import (
 // Alg. 1 round. The dense LocIndex tables keep the per-location bookkeeping
 // in slices indexed by integer instead of maps keyed by (object, field)
 // structs; allocs/op is the series to watch.
-func BenchmarkInterferenceEval(b *testing.B) {
+func BenchmarkInterferenceEval(b *testing.B) { benchInterferenceEval(b, 1200) }
+
+// BenchmarkInterferenceEvalLarge is the same round on a ~40k-line Fig. 8
+// subject, whose main thread forks every child: the MHP fork/join window
+// queries dominate the interference pass there.
+func BenchmarkInterferenceEvalLarge(b *testing.B) { benchInterferenceEval(b, 40000) }
+
+func benchInterferenceEval(b *testing.B, lines int) {
 	b.ReportAllocs()
-	src := workload.Generate(workload.SizeSweep(1, 1200, 1200)[0])
+	src := workload.Generate(workload.SizeSweep(1, lines, lines)[0])
 	ast, err := lang.Parse(src)
 	if err != nil {
 		b.Fatal(err)

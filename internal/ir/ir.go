@@ -193,6 +193,7 @@ type Program struct {
 	blockIndex []int // per label: index of inst within its block
 	reach      map[*Block][]uint64
 	reachMu    sync.Mutex
+	sites      []siteIndex // per thread id (filled by Finalize)
 
 	// structural label coordinates (built lazily by StructLabels).
 	structOnce sync.Once

@@ -418,6 +418,56 @@ func main() {
 	if p.Reaches(le, la) {
 		t.Error("no backward reachability")
 	}
+
+	// Sibling join-then-fork across blocks: the first child's join and
+	// the second child's fork sit in different blocks, with a branch
+	// between them, and the answers come from the sync-site index.
+	src = `
+func w() { x = malloc(); }
+func main() {
+  fork(t1, w);
+  if (c) {
+    join(t1);
+  } else {
+    m = malloc();
+  }
+  fork(t2, w);
+  if (d) {
+    n = malloc();
+  }
+}
+`
+	p = mustLower(t, src, DefaultOptions())
+	t1, t2 := p.Threads[1], p.Threads[2]
+	join, fork := p.Inst(t1.JoinSite), p.Inst(t2.ForkSite)
+	if join.Block == fork.Block {
+		t.Fatal("join and fork should sit in different blocks")
+	}
+	if !p.Reaches(t1.ForkSite, t1.JoinSite) || !p.Reaches(t1.JoinSite, t2.ForkSite) {
+		t.Error("fork(t1) -> join(t1) -> fork(t2) should be ordered")
+	}
+	if p.Reaches(t2.ForkSite, t1.JoinSite) || p.Reaches(t1.JoinSite, t1.ForkSite) {
+		t.Error("no backward reachability between sync sites")
+	}
+	lm, ln := NoLabel, NoLabel
+	for _, i := range p.Insts() {
+		if i.Op == OpAlloc && i.Thread == 0 {
+			if lm == NoLabel {
+				lm = i.Label
+			} else {
+				ln = i.Label
+			}
+		}
+	}
+	if p.Reaches(lm, t1.JoinSite) || p.Reaches(t1.JoinSite, lm) {
+		t.Error("the else branch and the join in the then branch are exclusive")
+	}
+	if !p.Reaches(lm, t2.ForkSite) || !p.Reaches(t2.ForkSite, ln) || !p.Reaches(t1.JoinSite, ln) {
+		t.Error("both branches reach the second fork, which reaches the trailing branch")
+	}
+	if _, ok := p.sites[0].reaches(join.Block.local, fork.Block.local); !ok {
+		t.Error("a query with a site block on one side should be answered by the index")
+	}
 }
 
 func TestLockSets(t *testing.T) {

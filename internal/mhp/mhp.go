@@ -96,7 +96,10 @@ func (m *Info) Ordered(l1, l2 ir.Label) int {
 
 // windowOrder orders label l (in an ancestor thread) against the subtree
 // rooted at thread c: -1 when l precedes the whole subtree, +1 when it
-// follows it, 0 when they may interleave.
+// follows it, 0 when they may interleave. Each Reaches call here has c's
+// fork or join site on one side; when l is a load or a store, as in the
+// interference pass, ir answers it from its sync-site reachability index
+// with one bit test.
 func (m *Info) windowOrder(l ir.Label, c int) int {
 	th := m.prog.Threads[c]
 	// Before (or at) the fork: strictly ordered before the whole subtree.
@@ -142,11 +145,7 @@ func (m *Info) lca(t1, t2 int) (lca, c1, c2 int) {
 		b = m.prog.Threads[b].Parent
 	}
 	// a == b is the LCA; find the children toward each side.
-	c1, _ = m.childTowardFrom(a, t1)
-	c2, _ = m.childTowardFrom(a, t2)
+	c1, _ = m.childToward(a, t1)
+	c2, _ = m.childToward(a, t2)
 	return a, c1, c2
-}
-
-func (m *Info) childTowardFrom(anc, desc int) (int, bool) {
-	return m.childToward(anc, desc)
 }
