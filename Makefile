@@ -8,13 +8,13 @@ GO ?= go
 ## tests of the separate perfbench module (so an API change cannot break
 ## the benchmark harness unseen), the short fuzzer smokes, the end-to-end
 ## daemon, session, fleet, and chaos smoke tests, and one-iteration smokes
-## of the interference, incremental, hotpath, persist, and sessions
-## benchmarks.
+## of the interference, large-build, incremental, hotpath, persist, and
+## sessions benchmarks.
 check: lint
 	$(GO) build ./...
 	$(GO) test -race ./...
 	cd perfbench && $(GO) vet . && $(GO) test .
-	$(GO) test -run - -bench InterferenceEval -benchtime 1x ./internal/core
+	$(GO) test -run - -bench 'InterferenceEval|BuildLarge' -benchtime 1x ./internal/core
 	$(MAKE) fuzz-smoke
 	$(MAKE) serve-smoke
 	$(MAKE) sessions-smoke
@@ -113,12 +113,14 @@ chaos-smoke:
 	$(GO) run scripts/chaos_smoke.go
 
 ## fuzz-smoke: the short fuzzer passes run by check — the parser, the
-## whole pipeline, the disk- and peer-facing wire decoders (disk entry,
+## whole pipeline, the streaming canonical-text comparison of the live
+## session fast path, the disk- and peer-facing wire decoders (disk entry,
 ## summary, verdict, peer cache entry), and the HTTP request envelopes
 ## (analyze/batch, gossip, edit).
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=5s ./internal/lang
 	$(GO) test -run=NONE -fuzz=FuzzAnalyze -fuzztime=5s .
+	$(GO) test -run=NONE -fuzz=FuzzCanonicalEqual -fuzztime=5s ./internal/digest
 	$(GO) test -run=NONE -fuzz=FuzzDecodeEntry -fuzztime=5s ./internal/diskstore
 	$(GO) test -run=NONE -fuzz=FuzzDecodeSummary -fuzztime=5s ./internal/pta
 	$(GO) test -run=NONE -fuzz=FuzzDecodeVerdict -fuzztime=5s ./internal/smt

@@ -1,10 +1,17 @@
 package canary
 
 import (
+	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
+
+	"canary/internal/ir"
+	"canary/internal/lang"
+	"canary/internal/workload"
 )
 
 // TestParallelDeterminism analyzes every corpus program with Workers: 1 and
@@ -59,5 +66,56 @@ func TestParallelDeterminism(t *testing.T) {
 					par.VFG.DataDepEdges, par.VFG.InterferenceEdges, par.VFG.FilteredEdges)
 			}
 		})
+	}
+}
+
+// TestLoweringDeterministic lowers one branchy ~5k-line Fig. 8 subject
+// twice in one process and requires identical instruction dumps, then
+// builds it twice through NewAnalysis and requires byte-identical DOT.
+// Lowering used to emit a join's φs in map-iteration order, so φ labels
+// and variable IDs (and with them the DOT) changed from run to run.
+func TestLoweringDeterministic(t *testing.T) {
+	src := workload.Generate(workload.SizeSweep(2, 5000, 5000)[0])
+	ast, err := lang.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dump := func() string {
+		prog, err := ir.Lower(ast, ir.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sb strings.Builder
+		phis := 0
+		for _, in := range prog.Insts() {
+			sb.WriteString(prog.String(in))
+			sb.WriteByte('\n')
+			if in.Op == ir.OpPhi {
+				phis++
+			}
+		}
+		if phis < 100 {
+			t.Fatalf("subject lowers to %d φs; want a branchy one", phis)
+		}
+		return sb.String()
+	}
+	if a, b := dump(), dump(); a != b {
+		t.Fatal("two lowerings of the same program differ")
+	}
+	opt := DefaultOptions()
+	opt.Workers = 1
+	dot := func() []byte {
+		a, err := (*Session)(nil).NewAnalysis(context.Background(), src, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := a.WriteDot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	if a, b := dot(), dot(); !bytes.Equal(a, b) {
+		t.Fatal("two builds of the same program write different DOT")
 	}
 }

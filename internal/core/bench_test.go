@@ -22,8 +22,33 @@ func BenchmarkInterferenceEvalLarge(b *testing.B) { benchInterferenceEval(b, 400
 
 func benchInterferenceEval(b *testing.B, lines int) {
 	b.ReportAllocs()
-	src := workload.Generate(workload.SizeSweep(1, lines, lines)[0])
-	ast, err := lang.Parse(src)
+	bld := NewBenchBuilder(lowerSweep(b, lines), DefaultBuild())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bld.BenchReset()
+		bld.BenchDataDepRound()
+		bld.BenchInterferenceRound()
+	}
+}
+
+// BenchmarkBuildLarge measures the whole VFG build — every Alg. 1/Alg. 2
+// fixpoint round — on a ~40k-line Fig. 8 subject. Each iteration builds a
+// freshly lowered program (lowering is untimed): a lowered program memoizes
+// CFG reachability, which a second build over it would inherit.
+func BenchmarkBuildLarge(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		prog := lowerSweep(b, 40000)
+		b.StartTimer()
+		Build(prog, DefaultBuild())
+	}
+}
+
+// lowerSweep parses and lowers the Fig. 8 subject of the given size.
+func lowerSweep(b *testing.B, lines int) *ir.Program {
+	b.Helper()
+	ast, err := lang.Parse(workload.Generate(workload.SizeSweep(1, lines, lines)[0]))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -31,11 +56,5 @@ func benchInterferenceEval(b *testing.B, lines int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	bld := NewBenchBuilder(prog, DefaultBuild())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bld.BenchReset()
-		bld.BenchDataDepRound()
-		bld.BenchInterferenceRound()
-	}
+	return prog
 }

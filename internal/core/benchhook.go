@@ -20,38 +20,20 @@ func NewBenchBuilder(prog *ir.Program, opt BuildOptions) *Builder {
 }
 
 // BenchReset rewinds the builder to its pre-fixpoint state (empty points-to
-// graph, empty VFG, every thread dirty) so a benchmark loop can replay the
-// first round repeatedly against identical input.
+// graph, empty VFG, every thread dirty and not yet passed) so a benchmark
+// loop can replay the first round repeatedly against identical input.
 func (b *Builder) BenchReset() {
 	b.G = vfg.New(b.Prog)
 	b.pts = make(map[ir.VarID]map[ir.ObjID]*guard.Formula)
 	b.ptsItems = 0
 	b.escaped = make(map[ir.ObjID]bool)
-	b.dirty = make(map[int]bool)
-	for _, th := range b.Prog.Threads {
-		b.dirty[th.ID] = true
-	}
+	b.resetSchedule()
 	b.Stats = BuildStats{}
 }
 
-// BenchDataDepRound runs one Alg. 1 round — a data-dependence pass over
-// every dirty thread plus the sequential effect replay — and reports
-// whether it progressed.
-func (b *Builder) BenchDataDepRound() bool {
-	todo := b.dirty
-	b.dirty = make(map[int]bool)
-	progressed := false
-	for _, th := range b.Prog.Threads {
-		if !todo[th.ID] {
-			continue
-		}
-		p := b.dataDepPass(th)
-		if b.applyEffects(&p.eff) {
-			progressed = true
-		}
-	}
-	return progressed
-}
+// BenchDataDepRound runs one Alg. 1 round — the production dataDepRound on
+// one worker — and reports whether it progressed.
+func (b *Builder) BenchDataDepRound() bool { return b.dataDepRound(1) }
 
 // BenchInterferenceRound runs one Alg. 2 round (escape analysis plus the
 // interference pass) sequentially and reports whether it progressed.

@@ -132,11 +132,14 @@ type Builder struct {
 	// escaped is the EspObj set of Alg. 2.
 	escaped map[ir.ObjID]bool
 
-	// dirty marks threads whose points-to facts changed since their last
-	// Alg. 1 pass; only dirty threads are re-analyzed in the outer
-	// fixpoint (the thread-modular decomposition that keeps the iteration
-	// cheap).
-	dirty map[int]bool
+	// dirty marks, per thread ID, the threads whose inputs changed since
+	// their last Alg. 1 pass; only dirty threads are re-analyzed in the
+	// outer fixpoint (the thread-modular decomposition that keeps the
+	// iteration cheap). See dataDepRound for what dirties a thread.
+	dirty []bool
+	// passed marks, per thread ID, the threads whose first Alg. 1 pass has
+	// been applied; later passes log only points-to-dependent effects.
+	passed []bool
 	// useThreads maps a variable to the threads that use it (beyond its
 	// defining thread) — new facts for the variable dirty those threads.
 	useThreads map[ir.VarID][]int
@@ -181,33 +184,11 @@ func BuildContext(ctx context.Context, prog *ir.Program, opt BuildOptions) (*Bui
 			return nil, ferr
 		}
 		b.Stats.Iterations++
-		progressed := false
-		// Phase 1 (Alg. 1): intra-thread data dependence, re-running only
-		// the threads whose facts changed. The passes run concurrently over
-		// a frozen snapshot of the points-to graph, each logging its effects
-		// (new facts and edges) privately; the logs are then replayed in
-		// thread-ID order, so the graph is byte-identical to a sequential
-		// build for any worker count.
-		todo := b.dirty
-		b.dirty = make(map[int]bool)
-		var threads []*ir.Thread
-		for _, th := range prog.Threads {
-			if todo[th.ID] {
-				threads = append(threads, th)
-			}
-		}
-		passes := make([]*passCtx, len(threads))
-		pstart := time.Now()
-		runIndexed(workers, len(threads), func(i int) {
-			passes[i] = b.dataDepPass(threads[i])
-		})
-		b.Stats.ParallelTime += time.Since(pstart)
-		for i := range passes {
-			if b.applyEffects(&passes[i].eff) {
-				progressed = true
-			}
-		}
-		b.Stats.DataDepTime += time.Since(pstart)
+		// Phase 1 (Alg. 1): intra-thread data dependence over the dirty
+		// threads.
+		dstart := time.Now()
+		progressed := b.dataDepRound(workers)
+		b.Stats.DataDepTime += time.Since(dstart)
 		// Phase 2 (Alg. 2): escape + interference dependence.
 		istart := time.Now()
 		b.escapeAnalysis()
@@ -249,10 +230,10 @@ func newBuilder(prog *ir.Program, opt BuildOptions) *Builder {
 		opt:        opt,
 		pts:        make(map[ir.VarID]map[ir.ObjID]*guard.Formula),
 		escaped:    make(map[ir.ObjID]bool),
-		dirty:      make(map[int]bool),
 		useThreads: make(map[ir.VarID][]int),
 	}
 	b.indexProgram()
+	b.resetSchedule()
 	return b
 }
 
@@ -265,7 +246,7 @@ func (b *Builder) cap(f *guard.Formula) *guard.Formula {
 }
 
 // indexProgram precomputes the store/load lists and the cross-thread use
-// map, and marks every thread dirty for the first pass.
+// map.
 func (b *Builder) indexProgram() {
 	addUse := func(v ir.VarID, thread int) {
 		if v == 0 {
@@ -295,25 +276,29 @@ func (b *Builder) indexProgram() {
 			addUse(op, inst.Thread)
 		}
 	}
-	for _, th := range b.Prog.Threads {
-		b.dirty[th.ID] = true
+}
+
+// resetSchedule marks every thread dirty and not yet passed: the state of
+// the first fixpoint round.
+func (b *Builder) resetSchedule() {
+	n := len(b.Prog.Threads)
+	b.dirty = make([]bool, n)
+	b.passed = make([]bool, n)
+	for i := range b.dirty {
+		b.dirty[i] = true
 	}
 }
 
-// markDirty flags every thread that must re-run Alg. 1 because v gained a
-// points-to fact.
-func (b *Builder) markDirty(v ir.VarID) {
-	if def := b.Prog.Var(v).Def; def != ir.NoLabel {
-		b.dirty[b.Prog.Inst(def).Thread] = true
-	} else {
-		b.dirty[0] = true // entry parameters belong to main
-	}
+// markUses flags the threads other than v's defining one that read v: they
+// must re-run Alg. 1 because v gained a points-to fact.
+func (b *Builder) markUses(v ir.VarID) {
 	for _, t := range b.useThreads[v] {
 		b.dirty[t] = true
 	}
 }
 
 // ptsAdd joins (o, g) into pts(v); it reports whether the pair is new.
+// Marking the threads the new pair dirties is left to the caller.
 func (b *Builder) ptsAdd(v ir.VarID, o ir.ObjID, g *guard.Formula) bool {
 	if g.IsFalse() {
 		return false
@@ -329,7 +314,6 @@ func (b *Builder) ptsAdd(v ir.VarID, o ir.ObjID, g *guard.Formula) bool {
 	}
 	m[o] = b.cap(g)
 	b.ptsItems++
-	b.markDirty(v)
 	return true
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"sort"
+	"time"
 
 	"canary/internal/bitset"
 	"canary/internal/guard"
@@ -148,6 +149,11 @@ type passCtx struct {
 	b       *Builder
 	overlay map[ir.VarID]map[ir.ObjID]*guard.Formula
 	eff     passEffects
+	// first is set on a thread's first pass, which logs every effect.
+	// Later passes skip the effects that depend only on the IR — direct
+	// and object edges, alloc/addr/null facts — because replaying them
+	// is a no-op guard join Or(g, g).
+	first bool
 
 	// joinTouched is the per-pass scratch of mergeAtJoin (per-pass, not on
 	// the Builder: passes of different threads run concurrently).
@@ -187,13 +193,72 @@ func (p *passCtx) ptsAdd(v ir.VarID, o ir.ObjID, g *guard.Formula) {
 
 func (p *passCtx) addEdge(e edgeOp) { p.eff.edges = append(p.eff.edges, e) }
 
+// addDirect logs the direct edge from → to on the thread's first pass only.
+func (p *passCtx) addDirect(from, to ir.VarID, g *guard.Formula) {
+	if p.first {
+		p.addEdge(edgeOp{fromVar: from, toVar: to, kind: vfg.EdgeDirect, guard: g})
+	}
+}
+
+// dataDepRound runs one Alg. 1 round: a pass over every dirty thread,
+// concurrently over a frozen snapshot of the points-to graph, each pass
+// logging its effects (new facts and edges) privately; the logs are then
+// replayed in thread-ID order, so the graph is byte-identical to a
+// sequential build for any worker count. It reports whether any new
+// points-to item or edge appeared.
+//
+// What dirties a thread for the next round is a new points-to pair for a
+// variable it reads but did not define (useThreads), or a new pair the
+// interference pass adds to one of its own loads. A pair its own pass
+// logged does not: every fact a pass of thread T logs is for the Def of
+// an instruction of T, the pass sweeps T's acyclic CFG in topological
+// order, and SSA defs precede their uses, so the pass has already read
+// every fact it logged and re-running it on them alone changes nothing.
+func (b *Builder) dataDepRound(workers int) bool {
+	var threads []*ir.Thread
+	for _, th := range b.Prog.Threads {
+		if b.dirty[th.ID] {
+			threads = append(threads, th)
+			b.dirty[th.ID] = false
+		}
+	}
+	passes := make([]*passCtx, len(threads))
+	pstart := time.Now()
+	runIndexed(workers, len(threads), func(i int) {
+		passes[i] = b.dataDepPass(threads[i])
+	})
+	b.Stats.ParallelTime += time.Since(pstart)
+	progressed := false
+	for i, th := range threads {
+		if b.applyEffects(&passes[i].eff) {
+			progressed = true
+		}
+		passes[i] = nil // the log is spent; let it go before the next one
+		b.passed[th.ID] = true
+	}
+	return progressed
+}
+
 // dataDepPass runs one Alg. 1 pass over a thread: a single topological
 // sweep of the (acyclic) CFG computing the flow-sensitive address-taken
 // state, logging top-level points-to updates and direct/dd edge insertions
 // as deferred effects. Passes of different threads only read shared state,
-// so Build runs them concurrently inside each fixpoint iteration.
+// so dataDepRound runs them concurrently.
 func (b *Builder) dataDepPass(th *ir.Thread) *passCtx {
-	p := &passCtx{b: b, overlay: make(map[ir.VarID]map[ir.ObjID]*guard.Formula)}
+	p := &passCtx{
+		b:       b,
+		overlay: make(map[ir.VarID]map[ir.ObjID]*guard.Formula),
+		first:   !b.passed[th.ID],
+	}
+	if p.first {
+		// A first pass logs about one edge per instruction (a little
+		// more: φs and loads may log several).
+		n := 0
+		for _, blk := range th.Blocks {
+			n += len(blk.Insts)
+		}
+		p.eff.edges = make([]edgeOp, 0, n*9/8)
+	}
 
 	// Blocks are created in topological order by the lowerer, so one
 	// sweep reaches the intra-thread dataflow fixpoint (the CFG is a DAG).
@@ -225,11 +290,13 @@ func (b *Builder) dataDepPass(th *ir.Thread) *passCtx {
 // reports whether any new points-to item or edge appeared (the outer
 // fixpoint's progress signal). Replay order — thread-ID order across
 // passes, program order within one — fixes the edge-ID assignment and the
-// guard join order regardless of how the passes were scheduled.
+// guard join order regardless of how the passes were scheduled. A new pair
+// dirties only the variable's cross-thread users (see dataDepRound).
 func (b *Builder) applyEffects(eff *passEffects) bool {
 	progressed := false
 	for _, op := range eff.pts {
 		if b.ptsAdd(op.v, op.o, op.g) {
+			b.markUses(op.v)
 			progressed = true
 		}
 	}
@@ -320,38 +387,31 @@ func (p *passCtx) transfer(inst *ir.Inst, mem *memState) {
 	switch inst.Op {
 	case ir.OpAlloc, ir.OpAddr, ir.OpNull:
 		// ℓ,φ: p = alloc_o  ⇒  PG_top ← {p ↣ (φ, o)}; base edge o → p.
-		p.ptsAdd(inst.Def, inst.Obj, inst.Guard)
-		p.addEdge(edgeOp{
-			fromObj: inst.Obj, fromIsObj: true, toVar: inst.Def,
-			kind: vfg.EdgeObj, guard: inst.Guard,
-		})
+		if p.first {
+			p.ptsAdd(inst.Def, inst.Obj, inst.Guard)
+			p.addEdge(edgeOp{
+				fromObj: inst.Obj, fromIsObj: true, toVar: inst.Def,
+				kind: vfg.EdgeObj, guard: inst.Guard,
+			})
+		}
 	case ir.OpCopy:
 		// ℓ,φ: p = q  ⇒  PG_top ← {p ↣ (γ∧φ, o)} ∀(γ,o) ∈ Pts(q).
 		for o, γ := range p.pts(inst.Val) {
 			p.ptsAdd(inst.Def, o, b.cap(guard.And(γ, inst.Guard)))
 		}
-		p.addEdge(edgeOp{
-			fromVar: inst.Val, toVar: inst.Def,
-			kind: vfg.EdgeDirect, guard: inst.Guard,
-		})
+		p.addDirect(inst.Val, inst.Def, inst.Guard)
 	case ir.OpPhi:
 		for i, op := range inst.Ops {
 			φi := inst.PhiGuards[i]
 			for o, γ := range p.pts(op) {
 				p.ptsAdd(inst.Def, o, b.cap(guard.And(γ, φi)))
 			}
-			p.addEdge(edgeOp{
-				fromVar: op, toVar: inst.Def,
-				kind: vfg.EdgeDirect, guard: φi,
-			})
+			p.addDirect(op, inst.Def, φi)
 		}
 	case ir.OpBin:
 		// Value-level flow only (taint propagation); no points-to.
 		for _, op := range inst.Ops {
-			p.addEdge(edgeOp{
-				fromVar: op, toVar: inst.Def,
-				kind: vfg.EdgeDirect, guard: inst.Guard,
-			})
+			p.addDirect(op, inst.Def, inst.Guard)
 		}
 	case ir.OpStore:
 		// ℓ,φ: *x = q (or x.f = q). Strong update when Pts(x) is a

@@ -185,7 +185,12 @@ func (b *Builder) interferencePass(workers int) bool {
 		// The loaded variable may now hold anything the stored value points
 		// to (the cyclic enlargement of Alg. 2).
 		for o2, γ2 := range b.pts[c.s.inst.Val] {
-			b.ptsAdd(c.l.inst.Def, o2, b.cap(guard.And(γ2, φ)))
+			if b.ptsAdd(c.l.inst.Def, o2, b.cap(guard.And(γ2, φ))) {
+				// No pass has read this pair yet, the loading thread's
+				// own included.
+				b.dirty[c.l.inst.Thread] = true
+				b.markUses(c.l.inst.Def)
+			}
 		}
 	}
 	return b.ptsItems != itemsBefore || b.G.NumEdges() != edgesBefore

@@ -41,11 +41,68 @@ import (
 // line numbers inside a cached result) stay valid for every source that
 // canonicalizes to the same text.
 func CanonicalSource(src string) string {
-	lines := strings.Split(strings.ReplaceAll(src, "\r\n", "\n"), "\n")
-	for i, l := range lines {
-		lines[i] = strings.TrimRight(lang.StripLineComment(l), " \t\r")
+	return string(AppendCanonical(make([]byte, 0, len(src)+1), src))
+}
+
+// AppendCanonical appends CanonicalSource(src) to dst and returns the
+// extended slice, for callers that hash the canonical text rather than
+// keep it.
+func AppendCanonical(dst []byte, src string) []byte {
+	canonicalLines(src, func(newlines int, line string) bool {
+		for ; newlines > 0; newlines-- {
+			dst = append(dst, '\n')
+		}
+		dst = append(dst, line...)
+		return true
+	})
+	return append(dst, '\n')
+}
+
+// CanonicalEqual reports whether CanonicalSource(src) == canon, streaming
+// the comparison line by line instead of building the canonical text, so
+// checking a representation-only edit allocates nothing.
+func CanonicalEqual(src, canon string) bool {
+	pos := 0
+	return canonicalLines(src, func(newlines int, line string) bool {
+		for ; newlines > 0; newlines-- {
+			if pos >= len(canon) || canon[pos] != '\n' {
+				return false
+			}
+			pos++
+		}
+		if !strings.HasPrefix(canon[pos:], line) {
+			return false
+		}
+		pos += len(line)
+		return true
+	}) && canon[pos:] == "\n"
+}
+
+// canonicalLines walks the canonical text of src: it calls emit for every
+// line left non-empty by stripping its comment and then its trailing blanks
+// (a CR of a CRLF ending is trailing or inside the comment, so it goes
+// too), with the number of newlines that precede the line in the canonical
+// text. Blank lines surface only as those counts, so trailing ones vanish;
+// the text ends with the last emitted line plus one newline. It stops, and
+// returns false, as soon as emit does.
+func canonicalLines(src string, emit func(newlines int, line string) bool) bool {
+	owed := 0
+	for first := true; ; first = false {
+		line, rest, more := strings.Cut(src, "\n")
+		if !first {
+			owed++
+		}
+		if line = strings.TrimRight(lang.StripLineComment(line), " \t\r"); line != "" {
+			if !emit(owed, line) {
+				return false
+			}
+			owed = 0
+		}
+		if !more {
+			return true
+		}
+		src = rest
 	}
-	return strings.TrimRight(strings.Join(lines, "\n"), "\n") + "\n"
 }
 
 // structHasher folds one function's shape into a SHA-256 state. Local value

@@ -1,6 +1,7 @@
 package digest
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -183,4 +184,82 @@ func main() {
 			t.Errorf("cycle edit did not invalidate %s", name)
 		}
 	}
+}
+
+// canonicalReference is CanonicalSource's original definition, with an
+// explicit CRLF → LF pass before the line split.
+func canonicalReference(src string) string {
+	lines := strings.Split(strings.ReplaceAll(src, "\r\n", "\n"), "\n")
+	for i, l := range lines {
+		lines[i] = strings.TrimRight(lang.StripLineComment(l), " \t\r")
+	}
+	return strings.TrimRight(strings.Join(lines, "\n"), "\n") + "\n"
+}
+
+// checkCanonicalEqual asserts the CanonicalEqual contract on one pair, and
+// that CanonicalSource and AppendCanonical still match the reference
+// definition.
+func checkCanonicalEqual(t *testing.T, a, b string) {
+	t.Helper()
+	ca, cb := CanonicalSource(a), CanonicalSource(b)
+	if ref := canonicalReference(a); ca != ref {
+		t.Fatalf("CanonicalSource(%q) = %q, reference %q", a, ca, ref)
+	}
+	if got, want := CanonicalEqual(a, cb), ca == cb; got != want {
+		t.Fatalf("CanonicalEqual(%q, CanonicalSource(%q)) = %v, want %v", a, b, got, want)
+	}
+	if got := string(AppendCanonical([]byte("pre"), a)); got != "pre"+ca {
+		t.Fatalf("AppendCanonical(pre, %q) = %q, want %q", a, got, "pre"+ca)
+	}
+	if !CanonicalEqual(a, ca) {
+		t.Fatalf("CanonicalEqual(%q, its own canonical text) = false", a)
+	}
+}
+
+// canonFragments are the pieces the property test builds sources from:
+// code, blanks, CR/LF/CRLF endings, comment markers, and lone slashes.
+var canonFragments = []string{
+	"x", "y = 1;", " ", "\t", "\r", "\n", "\n", "\r\n", "\r\n", "//", "// c", "/", "\n\n",
+}
+
+func randomCanonSource(r *rand.Rand) string {
+	var sb strings.Builder
+	for n := r.Intn(12); n > 0; n-- {
+		sb.WriteString(canonFragments[r.Intn(len(canonFragments))])
+	}
+	return sb.String()
+}
+
+// TestCanonicalEqualProperty checks CanonicalEqual(a, CanonicalSource(b))
+// == (CanonicalSource(a) == CanonicalSource(b)) on random sources mixing
+// CRLF, comments, tabs and trailing blank lines. Half the pairs are one
+// source and a representation-only rewrite of it (comments appended,
+// endings switched, blank lines added), so equal canonical texts are as
+// common as unequal ones.
+func TestCanonicalEqualProperty(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	equal := 0
+	for i := 0; i < 20000; i++ {
+		a := randomCanonSource(r)
+		b := randomCanonSource(r)
+		if i%2 == 0 {
+			b = strings.ReplaceAll(a, "\n", [...]string{"\n", " // n\r\n", "\t\n"}[r.Intn(3)])
+			b += [...]string{"", "\n", "\n\r\n\n", " //"}[r.Intn(4)]
+		}
+		checkCanonicalEqual(t, a, b)
+		if CanonicalSource(a) == CanonicalSource(b) {
+			equal++
+		}
+	}
+	if equal < 5000 {
+		t.Fatalf("only %d of 20000 pairs were canonically equal", equal)
+	}
+}
+
+// FuzzCanonicalEqual explores the same contract on arbitrary pairs.
+func FuzzCanonicalEqual(f *testing.F) {
+	f.Add("a // c\r\n\tb\n\n", "a\nb")
+	f.Add("", "\n\r\n")
+	f.Add("x\r\r\n//\n", "x")
+	f.Fuzz(func(t *testing.T, a, b string) { checkCanonicalEqual(t, a, b) })
 }

@@ -29,37 +29,21 @@ type Edit struct {
 	Text  string `json:"text"`
 }
 
-// sourceLines splits a source into lines, dropping the empty remainder
-// after a trailing newline so that "a\nb\n" is two lines, not three.
-func sourceLines(src string) []string {
-	if src == "" {
-		return nil
-	}
-	lines := strings.Split(src, "\n")
-	if lines[len(lines)-1] == "" {
-		lines = lines[:len(lines)-1]
-	}
-	return lines
-}
-
-// textLines splits replacement text into lines. An empty string is a
-// pure deletion (zero lines); at most one trailing newline is absorbed.
-func textLines(text string) []string {
-	if text == "" {
-		return nil
-	}
-	return strings.Split(strings.TrimSuffix(text, "\n"), "\n")
-}
-
 // ApplyEdits patches src with a set of non-overlapping line-span edits,
 // all addressed against the same (pre-edit) revision, and returns the
 // patched source with a single trailing newline. The edit set is
 // validated as a whole before anything is applied: out-of-range spans,
 // inverted spans, and overlapping spans reject the entire set, so a
 // failed call leaves the caller's revision untouched by construction.
+//
+// The result is built in one pass into one buffer: the source text
+// between edits is copied verbatim, so a one-line save on a large file
+// allocates the patched text and nothing else.
 func ApplyEdits(src string, edits []Edit) (string, error) {
-	lines := sourceLines(src)
-	n := len(lines)
+	if src != "" && !strings.HasSuffix(src, "\n") {
+		src += "\n" // every line, the last included, ends in a newline
+	}
+	n := strings.Count(src, "\n")
 	sorted := append([]Edit(nil), edits...)
 	sort.SliceStable(sorted, func(i, j int) bool {
 		if sorted[i].Start != sorted[j].Start {
@@ -67,6 +51,7 @@ func ApplyEdits(src string, edits []Edit) (string, error) {
 		}
 		return sorted[i].End < sorted[j].End
 	})
+	textLen := 0
 	for i, e := range sorted {
 		if e.Start < 1 {
 			return "", fmt.Errorf("digest: edit %d: start line %d is below 1", i, e.Start)
@@ -83,20 +68,38 @@ func ApplyEdits(src string, edits []Edit) (string, error) {
 			// everything else must cover disjoint spans. An insertion
 			// immediately followed by a replacement starting at the same
 			// line is fine: the (Start, End) sort puts the insertion
-			// first, and bottom-up application keeps it there.
+			// first, and it stays first in the output.
 			if prev.End > e.Start || (prev.Start == e.Start && prev.End == e.End) {
 				return "", fmt.Errorf("digest: edits %d and %d overlap", i-1, i)
 			}
 		}
+		textLen += len(e.Text) + 1
 	}
-	// Apply bottom-up so earlier spans keep their pre-edit line numbers.
-	for i := len(sorted) - 1; i >= 0; i-- {
-		e := sorted[i]
-		repl := textLines(e.Text)
-		tail := append([]string(nil), lines[e.End-1:]...)
-		lines = append(append(lines[:e.Start-1], repl...), tail...)
+	var out strings.Builder
+	out.Grow(len(src) + textLen)
+	off, line := 0, 1 // byte offset of the start of source line `line`
+	seek := func(to int) {
+		for ; line < to; line++ {
+			off += strings.IndexByte(src[off:], '\n') + 1
+		}
 	}
-	return strings.Join(lines, "\n") + "\n", nil
+	for _, e := range sorted {
+		from := off
+		seek(e.Start)
+		out.WriteString(src[from:off])
+		// Text is zero or more lines; at most one trailing newline is
+		// absorbed, and every written line ends in one.
+		if e.Text != "" {
+			out.WriteString(strings.TrimSuffix(e.Text, "\n"))
+			out.WriteByte('\n')
+		}
+		seek(e.End)
+	}
+	out.WriteString(src[off:])
+	if out.Len() == 0 {
+		return "\n", nil
+	}
+	return out.String(), nil
 }
 
 // Invalidated diffs two per-function summary-key maps and returns the

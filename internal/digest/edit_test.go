@@ -1,6 +1,9 @@
 package digest
 
 import (
+	"fmt"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -115,5 +118,87 @@ func TestApplyEditNewFunction(t *testing.T) {
 func TestApplyEditRejectsUnparsablePatch(t *testing.T) {
 	if _, _, err := ApplyEdit(editBase, []Edit{{1, 2, "func helper(p {\n"}}); err == nil {
 		t.Fatal("expected parse rejection of broken patch")
+	}
+}
+
+// applyEditsReference is ApplyEdits' original definition: split the
+// source into lines, splice each edit's lines in bottom-up, join.
+func applyEditsReference(src string, edits []Edit) (string, error) {
+	var lines []string
+	if src != "" {
+		lines = strings.Split(src, "\n")
+		if lines[len(lines)-1] == "" {
+			lines = lines[:len(lines)-1]
+		}
+	}
+	sorted := append([]Edit(nil), edits...)
+	sort.SliceStable(sorted, func(i, j int) bool {
+		if sorted[i].Start != sorted[j].Start {
+			return sorted[i].Start < sorted[j].Start
+		}
+		return sorted[i].End < sorted[j].End
+	})
+	for i, e := range sorted {
+		if e.Start < 1 || e.End < e.Start || e.End > len(lines)+1 {
+			return "", fmt.Errorf("edit %d out of range", i)
+		}
+		if i > 0 {
+			prev := sorted[i-1]
+			if prev.End > e.Start || (prev.Start == e.Start && prev.End == e.End) {
+				return "", fmt.Errorf("edits %d and %d overlap", i-1, i)
+			}
+		}
+	}
+	for i := len(sorted) - 1; i >= 0; i-- {
+		e := sorted[i]
+		var repl []string
+		if e.Text != "" {
+			repl = strings.Split(strings.TrimSuffix(e.Text, "\n"), "\n")
+		}
+		tail := append([]string(nil), lines[e.End-1:]...)
+		lines = append(append(lines[:e.Start-1], repl...), tail...)
+	}
+	return strings.Join(lines, "\n") + "\n", nil
+}
+
+// TestApplyEditsMatchesReference checks the one-pass ApplyEdits against
+// the split/splice/join reference on random sources (with and without a
+// final newline, with blank and CRLF lines) and random edit sets, invalid
+// ones included: both must reject the same sets and agree byte for byte
+// on the rest.
+func TestApplyEditsMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(2))
+	pieces := []string{"a", "bb", "", " // c", "\r", "x = 1;"}
+	texts := []string{"", "\n", "T", "T\n", "T\nU", "T\nU\n", "\n\n", "T\r\n"}
+	applied := 0
+	for i := 0; i < 20000; i++ {
+		var sb strings.Builder
+		for n := r.Intn(6); n > 0; n-- {
+			sb.WriteString(pieces[r.Intn(len(pieces))])
+			sb.WriteByte('\n')
+		}
+		src := sb.String()
+		if r.Intn(3) == 0 {
+			src = strings.TrimSuffix(src, "\n")
+		}
+		var edits []Edit
+		for n := r.Intn(4); n > 0; n-- {
+			start := 1 + r.Intn(7)
+			edits = append(edits, Edit{Start: start, End: start + r.Intn(3), Text: texts[r.Intn(len(texts))]})
+		}
+		got, gotErr := ApplyEdits(src, edits)
+		want, wantErr := applyEditsReference(src, edits)
+		if (gotErr != nil) != (wantErr != nil) {
+			t.Fatalf("ApplyEdits(%q, %v) error %v, reference error %v", src, edits, gotErr, wantErr)
+		}
+		if gotErr == nil {
+			applied++
+			if got != want {
+				t.Fatalf("ApplyEdits(%q, %v) = %q, reference %q", src, edits, got, want)
+			}
+		}
+	}
+	if applied < 5000 {
+		t.Fatalf("only %d of 20000 edit sets were valid", applied)
 	}
 }

@@ -23,10 +23,25 @@ func (p *Program) Finalize() {
 	p.buildSiteIndexes()
 }
 
+// computeLockSets fills every instruction's must-held lock set, and
+// indexes the unlock instructions by (thread, mutex) for MatchingUnlock.
 func (p *Program) computeLockSets() {
 	for _, th := range p.Threads {
 		p.lockSetsForThread(th)
 	}
+	p.unlocks = make(map[unlockKey][]Label)
+	for _, i := range p.insts {
+		if i.Op == OpUnlock {
+			k := unlockKey{i.Thread, i.Mutex}
+			p.unlocks[k] = append(p.unlocks[k], i.Label)
+		}
+	}
+}
+
+// unlockKey identifies the unlock instructions of one mutex in one thread.
+type unlockKey struct {
+	thread int
+	mutex  string
 }
 
 // lockSetsForThread runs a forward must-analysis of held locks over the
@@ -385,17 +400,13 @@ func CommonLocks(a, b *Inst) [][2]HeldLock {
 // is no unlock or more than one (in which case the caller should skip the
 // mutual-exclusion encoding — a sound under-constraining).
 func (p *Program) MatchingUnlock(acq Label, m string) Label {
-	th := p.insts[acq].Thread
 	found := NoLabel
-	for _, i := range p.insts {
-		if i.Op != OpUnlock || i.Mutex != m || i.Thread != th {
-			continue
-		}
-		if p.Reaches(acq, i.Label) {
+	for _, u := range p.unlocks[unlockKey{p.insts[acq].Thread, m}] {
+		if p.Reaches(acq, u) {
 			if found != NoLabel {
 				return NoLabel // ambiguous
 			}
-			found = i.Label
+			found = u
 		}
 	}
 	return found

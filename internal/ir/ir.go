@@ -194,6 +194,8 @@ type Program struct {
 	reach      map[*Block][]uint64
 	reachMu    sync.Mutex
 	sites      []siteIndex // per thread id (filled by Finalize)
+	// unlock labels per (thread, mutex), ascending (filled by Finalize).
+	unlocks map[unlockKey][]Label
 
 	// structural label coordinates (built lazily by StructLabels).
 	structOnce sync.Once

@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"sort"
 
 	"canary/internal/guard"
 	"canary/internal/lang"
@@ -50,7 +51,13 @@ func (o Options) withDefaults() Options {
 // positions are resolved with Steensgaard's analysis (§6).
 func Lower(src *lang.Program, opt Options) (*Program, error) {
 	opt = opt.withDefaults()
-	entry := src.Func(opt.Entry)
+	funcs := make(map[string]*lang.FuncDecl, len(src.Funcs))
+	for _, f := range src.Funcs {
+		if _, dup := funcs[f.Name]; !dup {
+			funcs[f.Name] = f // the first declaration wins, as in lang.Program.Func
+		}
+	}
+	entry := funcs[opt.Entry]
 	if entry == nil {
 		return nil, fmt.Errorf("ir: no entry function %q", opt.Entry)
 	}
@@ -59,7 +66,7 @@ func Lower(src *lang.Program, opt Options) (*Program, error) {
 		summaries = pta.Summaries(src)
 	}
 	l := &lowerer{
-		src:       src,
+		funcs:     funcs,
 		opt:       opt,
 		p:         &Program{Pool: guard.NewPool()},
 		steens:    pta.AnalyzeFuncPointers(src),
@@ -87,7 +94,10 @@ func Lower(src *lang.Program, opt Options) (*Program, error) {
 }
 
 type lowerer struct {
-	src       *lang.Program
+	// funcs is the name → declaration index of the source program, built
+	// once per Lower (not memoized on the AST, which other goroutines may
+	// be reading).
+	funcs     map[string]*lang.FuncDecl
 	opt       Options
 	p         *Program
 	steens    *pta.Steensgaard
@@ -216,7 +226,7 @@ func (tl *threadLowerer) lookup(e *env, ctx *callCtx, name string, pos lang.Pos)
 	if v, ok := e.vars[name]; ok {
 		return v
 	}
-	if tl.l.src.Func(name) != nil {
+	if tl.l.funcs[name] != nil {
 		v := tl.l.freshVar(name, 0)
 		in := tl.emit(&Inst{Op: OpAddr, Def: v, Obj: tl.l.funcObject(name), Pos: pos, Fn: ctx.fn})
 		tl.l.p.Var(v).Def = in.Label
@@ -461,36 +471,34 @@ func mergeThreads(dst, src *env) {
 }
 
 // mergeEnvs writes φ definitions into the current (join) block for every
-// variable whose version differs between branches.
+// variable whose version differs between branches, and carries every other
+// binding of either branch into dst. The φs are emitted in sorted name
+// order, so their labels and variable IDs are the same in every run.
 func (tl *threadLowerer) mergeEnvs(dst, a, b *env, ga, gb *guard.Formula, ctx *callCtx) {
-	names := make(map[string]bool, len(a.vars)+len(b.vars))
-	for k := range a.vars {
-		names[k] = true
-	}
-	for k := range b.vars {
-		names[k] = true
-	}
-	for name := range names {
-		va, okA := a.vars[name]
-		vb, okB := b.vars[name]
-		switch {
-		case okA && okB && va != vb:
-			v := tl.l.freshVar(name, 0)
-			in := tl.emit(&Inst{
-				Op: OpPhi, Def: v,
-				Ops:       []VarID{va, vb},
-				PhiGuards: []*guard.Formula{ga, gb},
-				Fn:        ctx.fn,
-			})
-			tl.l.p.Var(v).Def = in.Label
-			dst.vars[name] = v
-		case okA && okB:
-			dst.vars[name] = va
-		case okA:
-			dst.vars[name] = va
-		case okB:
-			dst.vars[name] = vb
+	var phis []string
+	for k, va := range a.vars {
+		if vb, ok := b.vars[k]; ok && va != vb {
+			phis = append(phis, k)
+			continue
 		}
+		dst.vars[k] = va
+	}
+	for k, vb := range b.vars {
+		if _, ok := a.vars[k]; !ok {
+			dst.vars[k] = vb
+		}
+	}
+	sort.Strings(phis)
+	for _, name := range phis {
+		v := tl.l.freshVar(name, 0)
+		in := tl.emit(&Inst{
+			Op: OpPhi, Def: v,
+			Ops:       []VarID{a.vars[name], b.vars[name]},
+			PhiGuards: []*guard.Formula{ga, gb},
+			Fn:        ctx.fn,
+		})
+		tl.l.p.Var(v).Def = in.Label
+		dst.vars[name] = v
 	}
 }
 
@@ -540,7 +548,7 @@ func (tl *threadLowerer) lowerFork(st *lang.ForkStmt, e *env, ctx *callCtx) {
 		argVars[i] = tl.lookup(e, ctx, a, st.Pos)
 	}
 	for _, tgt := range targets {
-		decl := tl.l.src.Func(tgt)
+		decl := tl.l.funcs[tgt]
 		if decl == nil {
 			continue
 		}
@@ -576,7 +584,7 @@ func (tl *threadLowerer) lowerFork(st *lang.ForkStmt, e *env, ctx *callCtx) {
 }
 
 func (tl *threadLowerer) forkTargets(callee string, e *env, ctx *callCtx) []string {
-	if tl.l.src.Func(callee) != nil {
+	if tl.l.funcs[callee] != nil {
 		return []string{callee}
 	}
 	// Function pointer: consult Steensgaard over the *source* function name
@@ -608,7 +616,7 @@ func (tl *threadLowerer) lowerCall(callee string, args []string, resultName stri
 	}
 	var results []retVal
 	for _, tgt := range targets {
-		decl := tl.l.src.Func(tgt)
+		decl := tl.l.funcs[tgt]
 		if decl == nil {
 			continue
 		}

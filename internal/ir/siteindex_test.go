@@ -1,17 +1,13 @@
 package ir
 
 import (
-	"go/ast"
-	"go/parser"
-	"go/token"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"canary/internal/corpus"
 	"canary/internal/lang"
 	"canary/internal/workload"
 )
@@ -161,61 +157,13 @@ func lowerForIndex(t *testing.T, name, src string) *Program {
 	return p
 }
 
-// exampleSources returns the checked-in example programs: the .cn files
-// and the raw-string program constants of the example mains that parse as
-// lang source.
-func exampleSources(t *testing.T) map[string]string {
-	t.Helper()
-	out := map[string]string{}
-	cn, _ := filepath.Glob("../../examples/*/*.cn")
-	for _, f := range cn {
-		data, err := os.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[f] = string(data)
-	}
-	mains, _ := filepath.Glob("../../examples/*/main.go")
-	for _, f := range mains {
-		file, err := parser.ParseFile(token.NewFileSet(), f, nil, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ast.Inspect(file, func(n ast.Node) bool {
-			lit, ok := n.(*ast.BasicLit)
-			if !ok || lit.Kind != token.STRING || !strings.HasPrefix(lit.Value, "`") {
-				return true
-			}
-			src, err := strconv.Unquote(lit.Value)
-			if err == nil && strings.Contains(src, "func main(") {
-				if _, err := lang.Parse(src); err == nil {
-					out[f+":"+strconv.Itoa(int(lit.Pos()))] = src
-				}
-			}
-			return true
-		})
-	}
-	return out
-}
-
 // TestSiteIndexExactOnCorpus checks the sync-site index against a
 // brute-force DFS on the testdata corpus, the examples, and a nested-fork
 // program.
 func TestSiteIndexExactOnCorpus(t *testing.T) {
-	srcs := exampleSources(t)
-	if len(srcs) < 5 {
-		t.Fatalf("only %d example programs found", len(srcs))
-	}
-	corpus, _ := filepath.Glob("../../testdata/*.cn")
-	if len(corpus) < 20 {
-		t.Fatalf("only %d corpus programs found", len(corpus))
-	}
-	for _, f := range corpus {
-		data, err := os.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		srcs[f] = string(data)
+	srcs, err := corpus.Programs("../..")
+	if err != nil {
+		t.Fatal(err)
 	}
 	srcs["nested"] = nestedForkSource
 	for name, src := range srcs {

@@ -102,8 +102,8 @@ type Graph struct {
 	Prog *ir.Program
 
 	nodes   []Node
-	varNode map[ir.VarID]NodeID
-	objNode map[ir.ObjID]NodeID
+	varNode []NodeID // indexed by VarID; 0 = not interned yet
+	objNode []NodeID // indexed by ObjID; 0 = not interned yet
 	edges   []Edge
 	out     [][]EdgeID
 	in      [][]EdgeID
@@ -142,11 +142,18 @@ type StoreRef struct {
 
 // New returns an empty graph over prog.
 func New(prog *ir.Program) *Graph {
+	// Every node is a variable or an object, so their counts bound the
+	// node slices; the edge count runs at 1.03–1.08 per instruction.
+	maxNodes, estEdges := len(prog.Vars)+len(prog.Objects), prog.NumInsts()*9/8
 	g := &Graph{
 		Prog:    prog,
-		varNode: make(map[ir.VarID]NodeID),
-		objNode: make(map[ir.ObjID]NodeID),
-		edgeIdx: make(map[edgeKey]EdgeID),
+		nodes:   make([]Node, 0, maxNodes),
+		varNode: make([]NodeID, len(prog.Vars)+1),
+		objNode: make([]NodeID, len(prog.Objects)+1),
+		edges:   make([]Edge, 0, estEdges),
+		out:     make([][]EdgeID, 0, maxNodes),
+		in:      make([][]EdgeID, 0, maxNodes),
+		edgeIdx: make(map[edgeKey]EdgeID, estEdges),
 		fieldID: map[string]int{"": 0},
 	}
 	for _, inst := range prog.Insts() {
@@ -208,7 +215,7 @@ func (g *Graph) locIndex(l Loc) (int, bool) {
 
 // VarNode interns the node of SSA variable v.
 func (g *Graph) VarNode(v ir.VarID) NodeID {
-	if n, ok := g.varNode[v]; ok {
+	if n := g.varNode[v]; n != 0 {
 		return n
 	}
 	info := g.Prog.Var(v)
@@ -224,7 +231,7 @@ func (g *Graph) VarNode(v ir.VarID) NodeID {
 
 // ObjNode interns the node of object o.
 func (g *Graph) ObjNode(o ir.ObjID) NodeID {
-	if n, ok := g.objNode[o]; ok {
+	if n := g.objNode[o]; n != 0 {
 		return n
 	}
 	n := g.addNode(Node{Kind: NodeObj, Obj: o, Def: g.Prog.Obj(o).Alloc, Thread: -1})

@@ -597,8 +597,7 @@ func (l *LiveSession) ApplyEdits(ctx context.Context, edits []Edit) (*FindingsDe
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrEditRejected, err)
 	}
-	canon := digest.CanonicalSource(patched)
-	if canon == l.canon {
+	if digest.CanonicalEqual(patched, l.canon) {
 		// Representation-only edit: the canonical source (comments and
 		// trailing whitespace stripped, line structure preserved) is
 		// unchanged, so the token stream — and with it parseability,
@@ -633,7 +632,7 @@ func (l *LiveSession) ApplyEdits(ctx context.Context, edits []Edit) (*FindingsDe
 	d.Reanalyzed = true
 	d.Invalidated = invalidated
 	l.src = patched
-	l.canon = canon
+	l.canon = digest.CanonicalSource(patched)
 	l.keys = newKeys
 	l.res = res
 	l.reports = res.Reports

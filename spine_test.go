@@ -3,12 +3,11 @@ package canary
 import (
 	"bytes"
 	"context"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
 	"canary/internal/core"
+	"canary/internal/corpus"
 	"canary/internal/ir"
 	"canary/internal/lang"
 )
@@ -17,26 +16,11 @@ import (
 // and the example programs.
 func spinePrograms(t *testing.T) map[string]string {
 	t.Helper()
-	var files []string
-	for _, pat := range []string{"testdata/*.cn", "examples/*/*.cn"} {
-		m, err := filepath.Glob(pat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		files = append(files, m...)
+	srcs, err := corpus.Programs(".")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(files) < 20 {
-		t.Fatalf("only %d programs found", len(files))
-	}
-	out := make(map[string]string, len(files))
-	for _, f := range files {
-		data, err := os.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[f] = string(data)
-	}
-	return out
+	return srcs
 }
 
 // TestTraceSpansWithinWall pins the trace's partition contract: the
