@@ -49,8 +49,9 @@ bench:
 	$(GO) test -run - -bench . -benchmem .
 
 ## bench-json: regenerate the checked-in benchmark snapshots (the fleet
-## and chaos experiments spawn real canaryd workers by re-executing
-## canary-bench as "canary-bench canaryd").
+## and chaos experiments spawn real canaryd workers and a real
+## canary-router by re-executing canary-bench as "canary-bench canaryd"
+## and "canary-bench canary-router").
 bench-json:
 	$(GO) run ./cmd/canary-bench -experiment incremental -json > BENCH_incremental.json
 	$(GO) run ./cmd/canary-bench -experiment hotpath -json > BENCH_hotpath.json
@@ -82,8 +83,10 @@ bench-sessions-smoke:
 	$(GO) run ./cmd/canary-bench -experiment sessions \
 		-sessions-lines 600 -sessions-edits 6 -json > /dev/null
 
-## The four *-smoke scripts below drive the real binaries over real HTTP
-## and real signals through one shared process harness (internal/e2e).
+## serve-smoke and sessions-smoke drive the real binaries over real
+## HTTP and real signals through one shared process harness
+## (internal/e2e); fleet-smoke and chaos-smoke are the fleet and chaos
+## experiments at smoke size, which spawn a real fleet the same way.
 
 ## serve-smoke: end-to-end canaryd exercise — random port, example
 ## submission vs CLI, cache replay, /healthz, /metrics, 413, queue-full
@@ -98,19 +101,25 @@ serve-smoke:
 sessions-smoke:
 	$(GO) run scripts/sessions_smoke.go
 
-## fleet-smoke: end-to-end fleet exercise — canary-router in front of two
-## canaryd workers, batch submit vs direct library run, warm replay, one
-## worker SIGKILLed mid-run with failover asserted byte-identical.
+## fleet-smoke: the fleet experiment at smoke size — a real canary-router
+## in front of two real canaryd workers (canary-bench re-executed as
+## both); cold batch byte-identical to a direct library run, warm replay
+## fully cache-served and identical, then the worker owning the first
+## item SIGKILLed and the batch resubmitted with a fresh item it owned:
+## all identical, failovers counted, victim reported down, and the
+## router drains and exits 0 on SIGTERM. Any failed gate exits non-zero.
 fleet-smoke:
-	$(GO) run scripts/fleet_smoke.go
+	$(GO) run ./cmd/canary-bench -experiment fleet -fleet-nodes 2 -fleet-items 6
 
-## chaos-smoke: end-to-end self-healing exercise — a gossip-joined fleet
-## (router + three canaryd workers, no static worker list) driven through
-## SIGKILL, dead-node rejoin, SIGSTOP/SIGCONT suspect, and a failpoint
-## storm, with every round asserted byte-identical to a direct library run
-## and membership convergence bounded in heartbeats.
+## chaos-smoke: the chaos experiment at smoke size — a gossip-joined
+## fleet (a real canary-router and three canaryd workers, no static
+## worker list) driven through SIGKILL, dead-node rejoin, SIGSTOP/SIGCONT
+## suspect, and a failpoint storm, with every round asserted
+## byte-identical to a direct library run, nothing lost, membership
+## convergence bounded in heartbeats, the healed fleet all up, and a
+## clean router SIGTERM exit. Any failed gate exits non-zero.
 chaos-smoke:
-	$(GO) run scripts/chaos_smoke.go
+	$(GO) run ./cmd/canary-bench -experiment chaos -chaos-items 6
 
 ## fuzz-smoke: the short fuzzer passes run by check — the parser, the
 ## whole pipeline, the streaming canonical-text comparison of the live

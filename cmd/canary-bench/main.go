@@ -18,8 +18,16 @@
 //
 // -json replaces the text tables with one JSON object holding the raw
 // measurements of the selected experiments. "canary-bench canaryd
-// [flags]" runs canaryd itself, so the fleet and chaos experiments can
-// spawn real daemons from the one binary.
+// [flags]" runs canaryd itself and "canary-bench canary-router [flags]"
+// the router, so the fleet and chaos experiments spawn a real fleet —
+// workers and router — from the one binary. At smoke size those two
+// experiments are the `make fleet-smoke` and `make chaos-smoke` gates:
+// the process exits 1 when findings diverge from a direct library run,
+// a warm batch is not fully cache-served, the failover kill goes
+// uncounted or unreported, a chaos item is lost, membership does not
+// converge, or a paused worker is never seen suspect. A fleet batch item
+// that fails, or a router that does not drain and exit 0 on SIGTERM,
+// fails the run with exit 2.
 //
 // Subject sizes and the per-tool timeout are scaled-down stand-ins for the
 // paper's testbed (see DESIGN.md); -scale and -timeout control them.
@@ -35,15 +43,22 @@ import (
 	"time"
 
 	"canary/internal/bench"
+	"canary/internal/fleet"
 	"canary/internal/server"
 	"canary/internal/workload"
 )
 
 func main() {
-	// "canary-bench canaryd <flags>" is canaryd itself: the fleet and
-	// chaos experiments spawn their workers by re-executing this binary.
-	if len(os.Args) > 1 && os.Args[1] == "canaryd" {
-		os.Exit(server.Main(os.Args[2:]))
+	// "canary-bench canaryd <flags>" is canaryd itself and
+	// "canary-bench canary-router <flags>" the router: the fleet and
+	// chaos experiments spawn their fleets by re-executing this binary.
+	if len(os.Args) > 1 {
+		switch os.Args[1] {
+		case "canaryd":
+			os.Exit(server.Main(os.Args[2:]))
+		case "canary-router":
+			os.Exit(fleet.Main(os.Args[2:]))
+		}
 	}
 	var (
 		experiment = flag.String("experiment", "all", "fig7a | fig7b | fig8 | table1 | parallel | all")
@@ -75,8 +90,6 @@ func main() {
 		flNodes    = flag.String("fleet-nodes", "1,2,4", "comma-separated fleet sizes to sweep")
 		chLines    = flag.Int("chaos-lines", 300, "subject size for the chaos experiment")
 		chItems    = flag.Int("chaos-items", 10, "corpus items streamed per chaos round")
-		chWorkers  = flag.Int("chaos-workers", 3, "worker processes in the chaos fleet")
-		chGossip   = flag.Duration("chaos-gossip", 150*time.Millisecond, "membership heartbeat of the chaos fleet")
 		seLines    = flag.Int("sessions-lines", 2600, "subject size for the sessions experiment")
 		seEdits    = flag.Int("sessions-edits", 9, "edit rounds in the sessions experiment (2:1 representation-only:semantic save mix)")
 		jsonOut    = flag.Bool("json", false, "emit the raw measurements as JSON instead of text tables")
@@ -226,10 +239,24 @@ func main() {
 			fail(err)
 		}
 		out.Fleet = &res
-		// Routing invariance is the experiment's hard gate: a fleet that
-		// changes the findings is broken no matter how fast it is.
+		// The fleet gates are hard: a fleet that changes the findings is
+		// broken no matter how fast it is, a warm repeat must be served
+		// from cache, and a killed worker must be failed over and
+		// reported down.
 		if !res.AllIdentical {
 			fmt.Fprintln(os.Stderr, "canary-bench: fleet findings differ from the direct run")
+			os.Exit(1)
+		}
+		if !res.AllWarmCached {
+			fmt.Fprintln(os.Stderr, "canary-bench: a warm fleet batch was not fully cache-served")
+			os.Exit(1)
+		}
+		if f := res.Failover; f != nil && f.Failovers == 0 {
+			fmt.Fprintln(os.Stderr, "canary-bench: router counted no failover after a worker was SIGKILLed")
+			os.Exit(1)
+		}
+		if f := res.Failover; f != nil && !f.VictimDown {
+			fmt.Fprintln(os.Stderr, "canary-bench: router never reported the SIGKILLed worker down")
 			os.Exit(1)
 		}
 	}
@@ -240,7 +267,7 @@ func main() {
 			fail(err)
 		}
 		spec := workload.SizeSweep(1, *chLines, *chLines)[0]
-		res, err := e.RunChaos(spec, *chItems, *chWorkers, *chGossip, exe)
+		res, err := e.RunChaos(spec, *chItems, exe)
 		if err != nil {
 			fail(err)
 		}

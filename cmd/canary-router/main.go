@@ -33,115 +33,11 @@
 package main
 
 import (
-	"context"
-	"flag"
-	"fmt"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"strings"
-	"syscall"
-	"time"
 
 	"canary/internal/fleet"
 )
 
 func main() {
-	os.Exit(run())
-}
-
-func run() int {
-	var (
-		addr        = flag.String("addr", "127.0.0.1:8786", "listen address (use :0 for a random port)")
-		workers     = flag.String("workers", "", "comma-separated canaryd base URLs (static fleet)")
-		join        = flag.String("join", "", "comma-separated membership seed URLs (dynamic fleet; replaces -workers)")
-		advertise   = flag.String("advertise", "", "this router's base URL as members reach it (default http://<bound addr>; needs -join)")
-		gossipWait  = flag.Duration("gossip-interval", 500*time.Millisecond, "membership heartbeat period (suspect after 5x, dead after 10x)")
-		maxBody     = flag.Int64("max-request-bytes", 0, "largest accepted /v1/analyze body in bytes (0 = 16 MiB)")
-		attempts    = flag.Int("max-attempts", 3, "workers one submission may be offered to before 502")
-		backoff     = flag.Duration("retry-backoff", 25*time.Millisecond, "base delay between failover attempts (jittered ±50%)")
-		timeout     = flag.Duration("timeout", 5*time.Minute, "bound on one upstream call")
-		healthWait  = flag.Duration("health-interval", time.Second, "worker health probe period")
-		seed        = flag.Int64("seed", 1, "jitter seed; pin for reproducible failover schedules")
-		hedgeQ      = flag.Float64("hedge-quantile", 0.9, "in-flight latency quantile past which a single-item call is hedged at the next candidate (0 disables)")
-		hedgeMin    = flag.Duration("hedge-min", 25*time.Millisecond, "floor on the hedge delay")
-		brkFails    = flag.Int("breaker-threshold", 3, "consecutive hard failures that open a worker's circuit breaker (negative disables)")
-		brkCooldown = flag.Duration("breaker-cooldown", 2*time.Second, "how long an open breaker blocks routing before a half-open probe")
-	)
-	flag.Parse()
-	if flag.NArg() != 0 || (*workers == "" && *join == "") {
-		fmt.Fprintln(os.Stderr, "usage: canary-router (-workers | -join) url,url,... [flags]")
-		flag.PrintDefaults()
-		return 2
-	}
-	splitURLs := func(s string) (out []string) {
-		for _, w := range strings.Split(s, ",") {
-			if w = strings.TrimSpace(w); w != "" {
-				out = append(out, w)
-			}
-		}
-		return out
-	}
-	workerList := splitURLs(*workers)
-	joinList := splitURLs(*join)
-
-	// Listen before building the router so the advertised identity can
-	// default to the actual bound address (meaningful under -addr :0).
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "canary-router:", err)
-		return 2
-	}
-	adv := *advertise
-	if adv == "" {
-		adv = "http://" + ln.Addr().String()
-	}
-
-	rt, err := fleet.NewRouter(fleet.RouterConfig{
-		Workers:          workerList,
-		Join:             joinList,
-		Self:             adv,
-		GossipInterval:   *gossipWait,
-		MaxRequestBytes:  *maxBody,
-		MaxAttempts:      *attempts,
-		RetryBackoff:     *backoff,
-		Timeout:          *timeout,
-		HealthInterval:   *healthWait,
-		Seed:             *seed,
-		HedgeQuantile:    *hedgeQ,
-		HedgeMinDelay:    *hedgeMin,
-		BreakerThreshold: *brkFails,
-		BreakerCooldown:  *brkCooldown,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "canary-router:", err)
-		ln.Close()
-		return 2
-	}
-	defer rt.Close()
-	fmt.Printf("canary-router listening on %s\n", ln.Addr())
-
-	hs := &http.Server{Handler: rt.Handler()}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.Serve(ln) }()
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)
-	defer stop()
-	select {
-	case err := <-serveErr:
-		fmt.Fprintln(os.Stderr, "canary-router:", err)
-		return 2
-	case <-ctx.Done():
-	}
-	stop()
-
-	httpCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := hs.Shutdown(httpCtx); err != nil {
-		fmt.Fprintln(os.Stderr, "canary-router:", err)
-		return 2
-	}
-	fmt.Fprintln(os.Stderr, "canary-router: exiting")
-	return 0
+	os.Exit(fleet.Main(os.Args[1:]))
 }

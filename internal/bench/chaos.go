@@ -3,8 +3,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
 	"syscall"
 	"time"
@@ -12,7 +10,6 @@ import (
 	"canary/internal/api"
 	"canary/internal/e2e"
 	"canary/internal/fleet"
-	"canary/internal/membership"
 	"canary/internal/workload"
 )
 
@@ -70,6 +67,13 @@ type ChaosResult struct {
 // still catching a protocol that converges by accident of timeouts.
 const chaosHeartbeatBound = 120
 
+// The chaos fleet: three workers — enough that one can be dead, one
+// paused, and a quorum still serves — heartbeating every 150ms.
+const (
+	chaosWorkers = 3
+	chaosGossip  = 150 * time.Millisecond
+)
+
 // streamCorpus runs the whole corpus through the router, comparing
 // every answer against the direct baseline.
 func streamCorpus(routerURL string, corpus []api.AnalyzeItem, direct []string) ChaosRound {
@@ -95,17 +99,25 @@ func streamCorpus(routerURL string, corpus []api.AnalyzeItem, direct []string) C
 	return r
 }
 
-// waitRingLen polls the router's ring until it holds want members,
-// returning the wait in gossip heartbeats (-1 on timeout).
-func waitRingLen(rt *fleet.Router, want int, gossip, timeout time.Duration) float64 {
-	return waitHeartbeats(gossip, timeout, func() bool { return rt.Ring().Len() == want })
+// waitRingLen polls the router's /metrics until its ring holds want
+// workers, returning the wait in gossip heartbeats (-1 on timeout).
+func waitRingLen(routerURL string, want int, timeout time.Duration) float64 {
+	return waitHeartbeats(timeout, func() bool {
+		m, err := e2e.Metrics(routerURL)
+		return err == nil && m["router_workers"] == uint64(want)
+	})
 }
 
-// waitMemberState polls the router's view of member id until it is in
-// state st, returning the wait in gossip heartbeats (-1 on timeout).
-func waitMemberState(rt *fleet.Router, id string, st membership.State, gossip, timeout time.Duration) float64 {
-	return waitHeartbeats(gossip, timeout, func() bool {
-		for _, m := range rt.Members() {
+// waitMemberState polls the router's gossip table (GET /v1/gossip)
+// until member id is in state st, returning the wait in gossip
+// heartbeats (-1 on timeout).
+func waitMemberState(routerURL, id, st string, timeout time.Duration) float64 {
+	return waitHeartbeats(timeout, func() bool {
+		var gr api.GossipResponse
+		if e2e.GetJSON(routerURL+"/v1/gossip", &gr) != nil {
+			return false
+		}
+		for _, m := range gr.Members {
 			if m.ID == id {
 				return m.State == st
 			}
@@ -116,33 +128,44 @@ func waitMemberState(rt *fleet.Router, id string, st membership.State, gossip, t
 
 // waitHeartbeats polls cond four times a heartbeat and returns the wait
 // in gossip heartbeats (-1 on timeout).
-func waitHeartbeats(gossip, timeout time.Duration, cond func() bool) float64 {
-	waited, ok := e2e.Poll(timeout, gossip/4, cond)
+func waitHeartbeats(timeout time.Duration, cond func() bool) float64 {
+	waited, ok := e2e.Poll(timeout, chaosGossip/4, cond)
 	if !ok {
 		return -1
 	}
-	return float64(waited) / float64(gossip)
+	return float64(waited) / float64(chaosGossip)
 }
 
-// RunChaos runs the chaos experiment: workers spawned as real
-// processes joined by gossip, an in-process router that learns the
-// fleet the same way, and scripted rounds — baseline, SIGKILL,
-// restart-rejoin, SIGSTOP/SIGCONT, and a failpoint storm — each
-// streaming the corpus and asserting byte-identity against a direct
-// library run.
-func (e *Experiments) RunChaos(spec workload.Spec, items, workers int, gossip time.Duration, exe string) (ChaosResult, error) {
+// chaosRouterConfig is the chaos fleet's router: it knows nothing but
+// the seeds, so its whole worker set must arrive through gossip; slow
+// single-item calls hedge, which is what carries the stream around a
+// paused worker.
+func chaosRouterConfig(seeds []string) fleet.RouterConfig {
+	return fleet.RouterConfig{
+		Join:           seeds,
+		GossipInterval: chaosGossip,
+		RetryBackoff:   25 * time.Millisecond,
+		Timeout:        8 * time.Second,
+		HealthInterval: 500 * time.Millisecond,
+		HedgeQuantile:  0.9,
+		HedgeMinDelay:  100 * time.Millisecond,
+	}
+}
+
+// RunChaos runs the chaos experiment: workers and a canary-router
+// spawned as real processes and joined purely by gossip, and scripted
+// rounds — baseline, SIGKILL, restart-rejoin, SIGSTOP/SIGCONT, and a
+// failpoint storm — each streaming the corpus and asserting
+// byte-identity against a direct library run. The healed fleet must end
+// with every worker up, and the router must drain and exit 0 on
+// SIGTERM.
+func (e *Experiments) RunChaos(spec workload.Spec, items int, exe string) (ChaosResult, error) {
 	if items <= 0 {
 		items = 10
 	}
-	if workers < 3 {
-		workers = 3
-	}
-	if gossip <= 0 {
-		gossip = 150 * time.Millisecond
-	}
 	res := ChaosResult{
-		Lines: spec.Lines, Items: items, Workers: workers,
-		GossipInterval: gossip, HeartbeatBound: chaosHeartbeatBound,
+		Lines: spec.Lines, Items: items, Workers: chaosWorkers,
+		GossipInterval: chaosGossip, HeartbeatBound: chaosHeartbeatBound,
 		AllIdentical: true, NoneLost: true, Converged: true,
 	}
 
@@ -167,19 +190,19 @@ func (e *Experiments) RunChaos(spec workload.Spec, items, workers int, gossip ti
 		return res, err
 	}
 	defer os.RemoveAll(tmp)
-	addrs, err := e2e.FreeAddrs(workers)
+	addrs, err := e2e.FreeAddrs(chaosWorkers)
 	if err != nil {
 		return res, err
 	}
-	seeds := make([]string, workers)
+	seeds := make([]string, chaosWorkers)
 	for i, a := range addrs {
 		seeds[i] = "http://" + a
 	}
 	worker := func(i int) fleetWorker {
-		return fleetWorker{addr: addrs[i], join: seeds, gossip: gossip, dir: fmt.Sprintf("%s/w%d", tmp, i)}
+		return fleetWorker{addr: addrs[i], join: seeds, gossip: chaosGossip, dir: fmt.Sprintf("%s/w%d", tmp, i)}
 	}
 
-	procs := make([]*e2e.Proc, workers)
+	procs := make([]*e2e.Proc, chaosWorkers)
 	defer func() {
 		for _, p := range procs {
 			p.Kill()
@@ -190,32 +213,12 @@ func (e *Experiments) RunChaos(spec workload.Spec, items, workers int, gossip ti
 			return res, err
 		}
 	}
-
-	// The router: listener first so its advertised identity is real,
-	// then a dynamic-membership router joined to the same seeds.
-	rln, err := net.Listen("tcp", "127.0.0.1:0")
+	router, err := startRouter(exe, chaosRouterConfig(seeds))
 	if err != nil {
 		return res, err
 	}
-	rt, err := fleet.NewRouter(fleet.RouterConfig{
-		Join:           seeds,
-		Self:           "http://" + rln.Addr().String(),
-		GossipInterval: gossip,
-		RetryBackoff:   25 * time.Millisecond,
-		Timeout:        8 * time.Second,
-		HealthInterval: 500 * time.Millisecond,
-		HedgeQuantile:  0.9,
-		HedgeMinDelay:  100 * time.Millisecond,
-	})
-	if err != nil {
-		rln.Close()
-		return res, err
-	}
-	defer rt.Close()
-	hs := &http.Server{Handler: rt.Handler()}
-	go hs.Serve(rln)
-	defer hs.Close()
-	routerURL := "http://" + rln.Addr().String()
+	defer router.Kill()
+	routerURL := router.URL()
 
 	record := func(name string, r ChaosRound, hb float64) {
 		r.Name = name
@@ -236,17 +239,18 @@ func (e *Experiments) RunChaos(spec workload.Spec, items, workers int, gossip ti
 
 	// Round 0 — baseline: the router must first learn all workers from
 	// gossip alone, then the corpus streams clean.
-	hb := waitRingLen(rt, workers, gossip, 30*time.Second)
+	hb := waitRingLen(routerURL, chaosWorkers, 30*time.Second)
 	if hb < 0 {
-		return res, fmt.Errorf("router never learned the %d-worker fleet", workers)
+		return res, fmt.Errorf("router never learned the %d-worker fleet", chaosWorkers)
 	}
 	record("baseline", streamCorpus(routerURL, corpus, direct), hb)
 
 	// Round 1 — SIGKILL: a worker dies mid-corpus with no goodbye. The
-	// stream must survive on failover; the ring must then shrink.
+	// stream must survive on failover; the ring must then shrink, which
+	// only a confirmed death does (suspects stay in the ring).
 	procs[1].Kill()
 	round := streamCorpus(routerURL, corpus, direct)
-	hb = waitRingLen(rt, workers-1, gossip, 60*time.Second)
+	hb = waitRingLen(routerURL, chaosWorkers-1, 60*time.Second)
 	record("sigkill", round, hb)
 
 	// Round 2 — rejoin: the same identity restarts (incarnation 0, warm
@@ -254,7 +258,7 @@ func (e *Experiments) RunChaos(spec workload.Spec, items, workers int, gossip ti
 	if procs[1], err = worker(1).start(exe); err != nil {
 		return res, fmt.Errorf("rejoin respawn: %w", err)
 	}
-	hb = waitRingLen(rt, workers, gossip, 60*time.Second)
+	hb = waitRingLen(routerURL, chaosWorkers, 60*time.Second)
 	record("rejoin", streamCorpus(routerURL, corpus, direct), hb)
 
 	// Round 3 — pause: SIGSTOP exercises the suspect state (silent but
@@ -262,10 +266,10 @@ func (e *Experiments) RunChaos(spec workload.Spec, items, workers int, gossip ti
 	// SIGCONT direct contact must resurrect it without a restart.
 	paused := procs[2]
 	paused.Cmd.Process.Signal(syscall.SIGSTOP)
-	res.SuspectObserved = waitMemberState(rt, paused.URL(), membership.Suspect, gossip, 60*time.Second) >= 0
+	res.SuspectObserved = waitMemberState(routerURL, paused.URL(), api.GossipSuspect, 60*time.Second) >= 0
 	round = streamCorpus(routerURL, corpus, direct)
 	paused.Cmd.Process.Signal(syscall.SIGCONT)
-	hb = waitMemberState(rt, paused.URL(), membership.Alive, gossip, 60*time.Second)
+	hb = waitMemberState(routerURL, paused.URL(), api.GossipAlive, 60*time.Second)
 	record("pause", round, hb)
 
 	// Round 4 — failpoint storm: a worker restarts with its peer-cache
@@ -277,12 +281,19 @@ func (e *Experiments) RunChaos(spec workload.Spec, items, workers int, gossip ti
 	if procs[0], err = worker(0).start(exe, storm); err != nil {
 		return res, fmt.Errorf("storm respawn: %w", err)
 	}
-	hb = waitRingLen(rt, workers, gossip, 60*time.Second)
+	hb = waitRingLen(routerURL, chaosWorkers, 60*time.Second)
 	record("storm", streamCorpus(routerURL, corpus, direct), hb)
 
-	res.RouterStats = rt.Stats()
-	res.BreakerOpensTotal = rt.Stats().BreakerOpens
-	return res, nil
+	// The healed fleet: every worker back up in the router's health view.
+	if err := e2e.WaitWorkersUp(routerURL, chaosWorkers, 30*time.Second); err != nil {
+		return res, err
+	}
+	if res.RouterStats, err = routerStats(routerURL); err != nil {
+		return res, err
+	}
+	res.BreakerOpensTotal = res.RouterStats.BreakerOpens
+	// Clean shutdown: SIGTERM must let the router drain and exit 0.
+	return res, router.Terminate(30 * time.Second)
 }
 
 // PrintChaos renders the chaos experiment as a text table.

@@ -1,10 +1,11 @@
-// Package e2e is the process harness shared by the end-to-end smoke
-// scripts and the fleet and chaos experiments. It builds and spawns the
+// Package e2e is the process harness shared by the serve and sessions
+// smoke scripts and by the fleet and chaos experiments, which double as
+// the fleet and chaos smokes at smoke size. It builds and spawns the
 // real binaries, reads the address a daemon announces on its first
 // stdout line, kills and reaps children (stopped ones too), speaks JSON
-// over HTTP, and reduces results to the findings bytes the determinism
-// contract pins, so a routed answer can be compared byte for byte with a
-// direct library run.
+// over HTTP, scrapes /metrics pages, and reduces results to the
+// findings bytes the determinism contract pins, so a routed answer can
+// be compared byte for byte with a direct library run.
 package e2e
 
 import (
@@ -18,6 +19,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -182,20 +184,30 @@ func PostJSON(url string, in, out any) error {
 	return json.Unmarshal(buf, out)
 }
 
-// Counter reads one plain-text counter from base's /metrics page; 0
-// when the page or the series is missing.
-func Counter(base, name string) uint64 {
-	_, buf, err := Get(base + "/metrics")
+// Metrics scrapes base's plain-text /metrics page once and returns
+// every integer-valued series (labels included in the name, e.g.
+// router_worker_up{worker="http://..."}) by name. Series with
+// fractional values, such as latency sums, are left out. An unreachable
+// page or a non-200 answer is an error, never a page of zeros.
+func Metrics(base string) (map[string]uint64, error) {
+	resp, buf, err := Get(base + "/metrics")
 	if err != nil {
-		return 0
+		return nil, err
 	}
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("GET %s/metrics: %s", base, resp.Status)
+	}
+	m := make(map[string]uint64)
 	for _, line := range strings.Split(string(buf), "\n") {
-		var v uint64
-		if _, err := fmt.Sscanf(line, name+" %d", &v); err == nil {
-			return v
+		i := strings.LastIndexByte(line, ' ')
+		if i <= 0 {
+			continue
+		}
+		if v, err := strconv.ParseUint(line[i+1:], 10, 64); err == nil {
+			m[line[:i]] = v
 		}
 	}
-	return 0
+	return m, nil
 }
 
 // Poll checks cond every interval until it holds or timeout passes, and

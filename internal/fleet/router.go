@@ -69,12 +69,6 @@ type RouterConfig struct {
 	GossipInterval time.Duration
 	SuspectAfter   time.Duration
 	DeadAfter      time.Duration
-	// BaseOptions is the analysis option set the router assumes the
-	// workers run with; submission options patch it exactly like the
-	// daemon patches its own base, so the router computes the same
-	// SubmissionKey the worker caches under. A mismatch costs cache
-	// locality, never correctness. Zero value means canary defaults.
-	BaseOptions *canary.Options
 	// MaxRequestBytes bounds an accepted request body (0 = 16 MiB), the
 	// same governance knob canaryd has.
 	MaxRequestBytes int64
@@ -120,7 +114,6 @@ type RouterConfig struct {
 // router loses nothing but the in-flight table.
 type Router struct {
 	cfg  RouterConfig
-	base canary.Options
 	ring atomic.Pointer[Ring]
 	hc   *http.Client
 
@@ -214,13 +207,8 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if cfg.BreakerCooldown <= 0 {
 		cfg.BreakerCooldown = 2 * time.Second
 	}
-	base := canary.DefaultOptions()
-	if cfg.BaseOptions != nil {
-		base = *cfg.BaseOptions
-	}
 	rt := &Router{
 		cfg:           cfg,
-		base:          base,
 		hc:            &http.Client{Timeout: cfg.Timeout},
 		inflightByKey: make(map[cache.Key]*inflightCall),
 		breakers:      make(map[string]*breaker),
@@ -266,15 +254,6 @@ func (rt *Router) Close() {
 
 // Ring returns the router's current membership view.
 func (rt *Router) Ring() *Ring { return rt.ring.Load() }
-
-// Members exposes the membership table (nil in static-worker mode), for
-// operators and the chaos harness to watch convergence.
-func (rt *Router) Members() []membership.Member {
-	if rt.agent == nil {
-		return nil
-	}
-	return rt.agent.Members()
-}
 
 // SetWorkers atomically replaces the worker set: a new rendezvous ring,
 // with health and breaker state pruned to the members that remain.
@@ -495,9 +474,12 @@ func (rt *Router) stateOf(worker string) WorkerState {
 // --- routing core ---
 
 // routeKey computes the content address a worker will cache this item
-// under: the same options overlay the daemon applies, then SubmissionKey.
+// under: the same options overlay the daemon applies, over canary's
+// defaults, then SubmissionKey. A worker whose base options differ
+// beyond what the key ignores (Workers) costs cache locality, never
+// correctness.
 func (rt *Router) routeKey(src string, patch *api.OptionsPatch, itemPatch *api.OptionsPatch) cache.Key {
-	opt := patch.Apply(rt.base)
+	opt := patch.Apply(canary.DefaultOptions())
 	opt = itemPatch.Apply(opt)
 	return canary.SubmissionKey(src, opt)
 }
@@ -994,8 +976,9 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 }
 
-// RouterStats is a point-in-time snapshot of the router counters, for
-// the bench harness.
+// RouterStats is a point-in-time snapshot of the router counters, the
+// router_*_total series of /metrics; the bench harness reads it from a
+// scrape of a spawned router.
 type RouterStats struct {
 	Requests      uint64 `json:"requests"`
 	BatchRequests uint64 `json:"batch_requests"`

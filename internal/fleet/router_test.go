@@ -155,18 +155,21 @@ func TestRouterBatchFanout(t *testing.T) {
 	sB, w2 := newWorker(t, server.Config{})
 	rt, ts := newRouter(t, fleet.RouterConfig{Workers: []string{w1.URL, w2.URL}})
 
-	items := make([]api.AnalyzeItem, 6)
-	wantKeys := make([]string, len(items))
+	// Grow the padded corpus until each worker owns at least two items:
+	// the ports are random, so a fixed-size corpus can land entirely on
+	// one worker. The search is bounded; past it the guard below fails.
+	var items []api.AnalyzeItem
+	var wantKeys []string
 	ownerCount := map[string]int{}
-	for i := range items {
+	for i := 0; i < 64 && (ownerCount[w1.URL] < 2 || ownerCount[w2.URL] < 2); i++ {
 		src := fmt.Sprintf("%s\nfunc pad%d() { p = malloc(); }", buggySrc, i)
-		items[i] = api.AnalyzeItem{Source: src}
+		items = append(items, api.AnalyzeItem{Source: src})
 		key := canary.SubmissionKey(src, canary.DefaultOptions())
-		wantKeys[i] = fmt.Sprintf("%x", key)
+		wantKeys = append(wantKeys, fmt.Sprintf("%x", key))
 		ownerCount[rt.Ring().Owner(key)]++
 	}
-	// The corpus is big enough that both workers should own something;
-	// if not, the test would silently cover less than it claims.
+	// Both workers must own something, or the test would silently cover
+	// less than it claims.
 	if len(ownerCount) != 2 {
 		t.Fatalf("corpus does not split across both workers: %v", ownerCount)
 	}

@@ -10,8 +10,8 @@
 // cache-locality and routing event. Two nodes briefly disagreeing about
 // the member set can at worst compute a result twice or miss a peer
 // cache hit — findings stay byte-identical either way, which is what
-// the chaos harness (scripts/chaos_smoke.go, canary-bench -experiment
-// chaos) proves under real SIGKILL/SIGSTOP/rejoin storms.
+// the chaos harness (canary-bench -experiment chaos, run at smoke size
+// by make chaos-smoke) proves under real SIGKILL/SIGSTOP/rejoin storms.
 //
 // Merge rules (per member, SWIM's precedence order):
 //   - a higher incarnation always wins;
