@@ -51,8 +51,10 @@ bench:
 ## bench-json: regenerate the checked-in benchmark snapshots (the fleet
 ## and chaos experiments spawn real canaryd workers and a real
 ## canary-router by re-executing canary-bench as "canary-bench canaryd"
-## and "canary-bench canary-router").
+## and "canary-bench canary-router"; fig8 exits 1 when its end-to-end
+## log–log slope of time against size exceeds 1.15).
 bench-json:
+	$(GO) run ./cmd/canary-bench -experiment fig8 -json > BENCH_fig8.json
 	$(GO) run ./cmd/canary-bench -experiment incremental -json > BENCH_incremental.json
 	$(GO) run ./cmd/canary-bench -experiment hotpath -json > BENCH_hotpath.json
 	$(GO) run ./cmd/canary-bench -experiment persist -json > BENCH_persist.json

@@ -3,7 +3,7 @@
 //
 //	canary-bench -experiment fig7a    # VFG construction time (Fig. 7a)
 //	canary-bench -experiment fig7b    # VFG construction memory (Fig. 7b)
-//	canary-bench -experiment fig8     # Canary scalability + linear fits (Fig. 8)
+//	canary-bench -experiment fig8     # Canary scalability: linear fits, per-stage log–log slopes (Fig. 8)
 //	canary-bench -experiment table1   # bug-hunting comparison (Table 1)
 //	canary-bench -experiment parallel # worker-pool sweep + SMT-cache replay
 //	canary-bench -experiment serve    # canaryd scheduler: cold/warm phases, cache hits, queue depth
@@ -27,7 +27,9 @@
 // uncounted or unreported, a chaos item is lost, membership does not
 // converge, or a paused worker is never seen suspect. A fleet batch item
 // that fails, or a router that does not drain and exit 0 on SIGTERM,
-// fails the run with exit 2.
+// fails the run with exit 2. The fig8 experiment exits 1 when its
+// end-to-end log–log slope of time against size exceeds
+// bench.Fig8MaxSlope.
 //
 // Subject sizes and the per-tool timeout are scaled-down stand-ins for the
 // paper's testbed (see DESIGN.md); -scale and -timeout control them.
@@ -66,8 +68,8 @@ func main() {
 		subjects   = flag.Int("subjects", 20, "how many catalogue subjects to run (prefix)")
 		timeout    = flag.Duration("timeout", 30*time.Second, "per-baseline timeout (the paper's 12h, scaled)")
 		sweepN     = flag.Int("sweep", 6, "number of Fig. 8 sweep points")
-		sweepMin   = flag.Int("sweep-min", 500, "smallest Fig. 8 subject (lines)")
-		sweepMax   = flag.Int("sweep-max", 16000, "largest Fig. 8 subject (lines)")
+		sweepMin   = flag.Int("sweep-min", 2500, "smallest Fig. 8 subject (lines)")
+		sweepMax   = flag.Int("sweep-max", 80000, "largest Fig. 8 subject (lines)")
 		parLines   = flag.Int("parallel-lines", 3200, "subject size for the parallel worker sweep")
 		srvClients = flag.Int("serve-clients", 8, "concurrent submitters in the serve experiment")
 		srvPerCli  = flag.Int("serve-requests", 6, "requests per submitter in the serve experiment")
@@ -152,6 +154,12 @@ func main() {
 			fail(err)
 		}
 		out.Fig8 = &res
+		// The scale gate: the paper's near-linear growth, end to end.
+		if res.LogLogSlope > bench.Fig8MaxSlope {
+			fmt.Fprintf(os.Stderr, "canary-bench: fig8 log–log slope %.2f exceeds %.2f\n",
+				res.LogLogSlope, bench.Fig8MaxSlope)
+			os.Exit(1)
+		}
 	}
 	if want("parallel") {
 		spec := workload.SizeSweep(1, *parLines, *parLines)[0]

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"canary/internal/pipeline"
 	"canary/internal/workload"
 )
 
@@ -133,10 +134,24 @@ func TestRunFig8SweepAndFit(t *testing.T) {
 	if len(res.Points) != 3 {
 		t.Fatalf("want 3 points, got %d", len(res.Points))
 	}
+	if res.LogLogSlope <= 0 {
+		t.Errorf("end-to-end log–log slope %.2f, want > 0", res.LogLogSlope)
+	}
+	stages := pipeline.StageNames()
+	if len(res.StageSlopes) != len(stages) {
+		t.Fatalf("%d stage slopes, want one per pipeline stage (%d)", len(res.StageSlopes), len(stages))
+	}
+	for i, p := range res.Points {
+		if len(p.Stages) != len(stages) {
+			t.Errorf("point %d: %d stage spans, want %d", i, len(p.Stages), len(stages))
+		}
+	}
 	var buf bytes.Buffer
 	PrintFig8(&buf, res)
-	if !strings.Contains(buf.String(), "R²") {
-		t.Error("Fig. 8 output missing fit statistics")
+	for _, needle := range []string{"R²", "log–log slope", "datadep"} {
+		if !strings.Contains(buf.String(), needle) {
+			t.Errorf("Fig. 8 output missing %q", needle)
+		}
 	}
 }
 

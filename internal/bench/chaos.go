@@ -108,18 +108,36 @@ func waitRingLen(routerURL string, want int, timeout time.Duration) float64 {
 	})
 }
 
-// waitMemberState polls the router's gossip table (GET /v1/gossip)
-// until member id is in state st, returning the wait in gossip
-// heartbeats (-1 on timeout).
-func waitMemberState(routerURL, id, st string, timeout time.Duration) float64 {
-	return waitHeartbeats(timeout, func() bool {
-		var gr api.GossipResponse
-		if e2e.GetJSON(routerURL+"/v1/gossip", &gr) != nil {
-			return false
+// routerMember reads member id's entry from the router's gossip table
+// (GET /v1/gossip); ok is false when the table is unreachable or lacks id.
+func routerMember(routerURL, id string) (m api.GossipMember, ok bool) {
+	var gr api.GossipResponse
+	if e2e.GetJSON(routerURL+"/v1/gossip", &gr) != nil {
+		return m, false
+	}
+	for _, m := range gr.Members {
+		if m.ID == id {
+			return m, true
 		}
-		for _, m := range gr.Members {
-			if m.ID == id {
-				return m.State == st
+	}
+	return m, false
+}
+
+// waitMember polls the router's gossip table until member id's entry
+// satisfies cond, returning the wait in gossip heartbeats (-1 on timeout).
+func waitMember(routerURL, id string, timeout time.Duration, cond func(api.GossipMember) bool) float64 {
+	return waitHeartbeats(timeout, func() bool {
+		m, ok := routerMember(routerURL, id)
+		return ok && cond(m)
+	})
+}
+
+// waitMemberState waits until member id is in one of the given states.
+func waitMemberState(routerURL, id string, timeout time.Duration, states ...string) float64 {
+	return waitMember(routerURL, id, timeout, func(m api.GossipMember) bool {
+		for _, st := range states {
+			if m.State == st {
+				return true
 			}
 		}
 		return false
@@ -266,22 +284,36 @@ func (e *Experiments) RunChaos(spec workload.Spec, items int, exe string) (Chaos
 	// SIGCONT direct contact must resurrect it without a restart.
 	paused := procs[2]
 	paused.Cmd.Process.Signal(syscall.SIGSTOP)
-	res.SuspectObserved = waitMemberState(routerURL, paused.URL(), api.GossipSuspect, 60*time.Second) >= 0
+	res.SuspectObserved = waitMemberState(routerURL, paused.URL(), 60*time.Second, api.GossipSuspect) >= 0
 	round = streamCorpus(routerURL, corpus, direct)
 	paused.Cmd.Process.Signal(syscall.SIGCONT)
-	hb = waitMemberState(routerURL, paused.URL(), api.GossipAlive, 60*time.Second)
+	hb = waitMemberState(routerURL, paused.URL(), 60*time.Second, api.GossipAlive)
 	record("pause", round, hb)
 
 	// Round 4 — failpoint storm: a worker restarts with its peer-cache
 	// and disk-store sites injecting intermittent faults. Degradation
 	// paths (peer miss → local compute, disk miss → recompute) must
-	// keep the findings byte-identical.
+	// keep the findings byte-identical. The restart waits until the
+	// router suspects the killed worker, so the rejoin is a real
+	// membership event: convergence is the wait, from the restart, for
+	// the router to see the worker alive at an incarnation above the one
+	// it died with (its refutation of the suspicion).
+	victim := procs[0].URL()
+	killed, ok := routerMember(routerURL, victim)
+	if !ok {
+		return res, fmt.Errorf("storm: router does not list %s", victim)
+	}
 	procs[0].Kill()
+	if waitMemberState(routerURL, victim, 60*time.Second, api.GossipSuspect, api.GossipDead) < 0 {
+		return res, fmt.Errorf("storm: router never suspected killed worker %s", victim)
+	}
 	storm := "CANARY_FAILPOINTS=peer-fetch=error@2;disk-read=error@2;disk-write=error@3;cache-read=error@5"
 	if procs[0], err = worker(0).start(exe, storm); err != nil {
 		return res, fmt.Errorf("storm respawn: %w", err)
 	}
-	hb = waitRingLen(routerURL, chaosWorkers, 60*time.Second)
+	hb = waitMember(routerURL, victim, 60*time.Second, func(m api.GossipMember) bool {
+		return m.State == api.GossipAlive && m.Incarnation > killed.Incarnation
+	})
 	record("storm", streamCorpus(routerURL, corpus, direct), hb)
 
 	// The healed fleet: every worker back up in the router's health view.

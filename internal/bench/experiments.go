@@ -4,12 +4,15 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"time"
 
+	"canary"
 	"canary/internal/baseline"
 	"canary/internal/core"
 	"canary/internal/ir"
 	"canary/internal/lang"
+	"canary/internal/pipeline"
 	"canary/internal/workload"
 )
 
@@ -203,14 +206,34 @@ func (e *Experiments) RunAll(projects []workload.Project) ([]SubjectResult, erro
 	return out, nil
 }
 
-// Fig8Point is one size-sweep observation of the whole Canary pipeline.
+// Fig8Point is one size-sweep observation of the whole Canary pipeline,
+// from source text to reports.
 type Fig8Point struct {
 	Lines   int
 	KLoC    float64
 	Time    time.Duration
 	PeakMem uint64
 	Reports int
+	// Stages is the analysis's per-stage split (Result.Trace), in
+	// pipeline order; the spans partition Time up to the untraced glue.
+	Stages []StageCost
 }
+
+// StageSlope is the log–log slope of one stage's wall time against
+// program size: 1 means the stage scales linearly.
+type StageSlope struct {
+	Stage string
+	Slope float64
+}
+
+// Fig8MaxSlope bounds the end-to-end log–log slope of the sweep. The
+// paper's Fig. 8 claims near-linear growth; canary-bench fails the fig8
+// experiment when the sweep grows faster than this.
+const Fig8MaxSlope = 1.15
+
+// fig8Runs is how many timed analyses each sweep point gets; the fastest
+// is kept, so one scheduling hiccup does not skew the fit.
+const fig8Runs = 5
 
 // Fig8Result carries the sweep and the linear fits the paper reports.
 type Fig8Result struct {
@@ -218,37 +241,60 @@ type Fig8Result struct {
 	// TimeSlope is ms per KLoC; MemSlope is bytes per KLoC.
 	TimeSlope, TimeIntercept, TimeR2 float64
 	MemSlope, MemIntercept, MemR2    float64
+	// LogLogSlope is the slope of ln(time) against ln(KLoC), end to end;
+	// StageSlopes is the same per pipeline stage.
+	LogLogSlope float64
+	StageSlopes []StageSlope
 }
 
-// RunFig8 sweeps Canary's full pipeline (VFG construction + path-sensitive
+// RunFig8 sweeps Canary's full pipeline (parse through path-sensitive
 // checking) over increasing program sizes and fits time and memory against
 // size, reproducing the near-linear scaling of Fig. 8.
 func (e *Experiments) RunFig8(specs []workload.Spec) (Fig8Result, error) {
 	var res Fig8Result
+	opt := canary.DefaultOptions()
+	opt.Checkers = []string{e.checker()}
 	for _, spec := range specs {
-		prog, err := lowerSubject(spec)
-		if err != nil {
-			return res, err
-		}
-		var reports int
-		m, err := Measure(func() error {
-			b := core.Build(prog, core.DefaultBuild())
-			opt := core.DefaultCheck()
-			opt.Checkers = []string{e.checker()}
-			rs, _ := b.Check(opt)
-			reports = len(rs)
-			return nil
+		src := workload.Generate(spec)
+		// Memory: one analysis on a freshly collected heap.
+		var out *canary.Result
+		m, err := Measure(func() (err error) {
+			out, err = canary.Analyze(src, opt)
+			return err
 		})
 		if err != nil {
 			return res, err
 		}
 		pt := Fig8Point{
 			Lines: spec.Lines, KLoC: float64(spec.Lines) / 1000,
-			Time: m.Time, PeakMem: m.PeakBytes, Reports: reports,
+			PeakMem: m.PeakBytes, Reports: len(out.Reports),
+		}
+		// Time: the fastest of fig8Runs further analyses run back to back,
+		// each under the GC pacing its predecessor left. On a freshly
+		// collected heap the smallest subjects finish inside the runtime's
+		// minimum heap without a single GC cycle, which would bend the
+		// fit by the collector's start-up rather than by analysis cost.
+		for run := 0; run < fig8Runs; run++ {
+			t0 := time.Now()
+			r, err := canary.Analyze(src, opt)
+			wall := time.Since(t0)
+			if err != nil {
+				return res, err
+			}
+			if run > 0 && wall >= pt.Time {
+				continue
+			}
+			pt.Time, pt.Stages = wall, nil
+			for _, sp := range r.Trace {
+				pt.Stages = append(pt.Stages, StageCost{
+					Stage: sp.Stage, Wall: sp.Wall, Steps: sp.Steps,
+					Budget: sp.Budget, CacheHits: sp.CacheHits,
+				})
+			}
 		}
 		res.Points = append(res.Points, pt)
 		e.logf("  sweep %6d lines: time=%v mem=%s reports=%d\n",
-			pt.Lines, pt.Time.Round(time.Millisecond), fmtBytes(pt.PeakMem), reports)
+			pt.Lines, pt.Time.Round(time.Millisecond), fmtBytes(pt.PeakMem), pt.Reports)
 	}
 	xs := make([]float64, len(res.Points))
 	ts := make([]float64, len(res.Points))
@@ -260,7 +306,35 @@ func (e *Experiments) RunFig8(specs []workload.Spec) (Fig8Result, error) {
 	}
 	res.TimeSlope, res.TimeIntercept, res.TimeR2 = FitLinear(xs, ts)
 	res.MemSlope, res.MemIntercept, res.MemR2 = FitLinear(xs, ms)
+	res.LogLogSlope = logLogSlope(res.Points, func(p Fig8Point) time.Duration { return p.Time })
+	for _, stage := range pipeline.StageNames() {
+		res.StageSlopes = append(res.StageSlopes, StageSlope{
+			Stage: stage,
+			Slope: logLogSlope(res.Points, func(p Fig8Point) time.Duration {
+				for _, sc := range p.Stages {
+					if sc.Stage == stage {
+						return sc.Wall
+					}
+				}
+				return 0
+			}),
+		})
+	}
 	return res, nil
+}
+
+// logLogSlope fits ln(wall) against ln(KLoC) over the points and returns
+// the slope. Points with no measurable wall time are left out.
+func logLogSlope(points []Fig8Point, wall func(Fig8Point) time.Duration) float64 {
+	var xs, ys []float64
+	for _, p := range points {
+		if w := wall(p); w > 0 && p.KLoC > 0 {
+			xs = append(xs, math.Log(p.KLoC))
+			ys = append(ys, math.Log(float64(w)))
+		}
+	}
+	slope, _, _ := FitLinear(xs, ys)
+	return slope
 }
 
 func fmtBytes(b uint64) string {

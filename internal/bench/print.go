@@ -73,6 +73,10 @@ func PrintFig8(w io.Writer, res Fig8Result) {
 	fmt.Fprintf(w, "mem   fit: %s/KLoC + %s  (R²=%.3f)\n",
 		fmtBytes(uint64(maxF(res.MemSlope, 0))), fmtBytes(uint64(maxF(res.MemIntercept, 0))), res.MemR2)
 	fmt.Fprintln(w, "paper fits: time 0.0326 min/KLoC (R²=0.83), memory 0.0193 GB/KLoC (R²=0.78)")
+	fmt.Fprintf(w, "log–log slope of time against size: %.2f end to end (gate ≤ %.2f)\n", res.LogLogSlope, Fig8MaxSlope)
+	for _, s := range res.StageSlopes {
+		fmt.Fprintf(w, "  %-13s %.2f\n", s.Stage, s.Slope)
+	}
 }
 
 // PrintParallel renders the worker sweep and the cache replay rounds.

@@ -119,18 +119,19 @@ type ptsOp struct {
 
 // edgeOp is one deferred VFG edge insertion. Node interning is deferred
 // too (VarNode/ObjNode mutate the graph), so the op carries the variable or
-// object rather than a NodeID.
+// object rather than a NodeID. A first pass logs about one op per
+// instruction, so the op is packed: ids are int32 (vfg.New rejects
+// programs whose ids overflow it) and the field is the graph's dense field
+// id rather than its name.
 type edgeOp struct {
-	fromVar   ir.VarID
-	fromObj   ir.ObjID
-	fromIsObj bool
-	toVar     ir.VarID
-	kind      vfg.EdgeKind
-	guard     *guard.Formula
-	store     ir.Label
-	load      ir.Label
-	obj       ir.ObjID
-	field     string
+	guard       *guard.Formula
+	from        int32 // an ir.VarID, or an ir.ObjID when isObj
+	to          int32 // ir.VarID
+	store, load int32 // ir.Label
+	obj         int32 // ir.ObjID
+	field       int32 // vfg.Graph field id
+	kind        vfg.EdgeKind
+	isObj       bool
 }
 
 // objStoreOp is one deferred Graph.AddObjStore call.
@@ -144,7 +145,9 @@ type objStoreOp struct {
 // log. Same-pass reads see same-pass writes through the overlay exactly as
 // the sequential analysis did; cross-thread writes of the same iteration
 // land in the next fixpoint round instead, which only defers (never loses)
-// propagation.
+// propagation. Only the log outlives the pass (dataDepPass returns it), so
+// a finished pass's overlay and join scratch are garbage while the other
+// passes of its round still run.
 type passCtx struct {
 	b       *Builder
 	overlay map[ir.VarID]map[ir.ObjID]*guard.Formula
@@ -196,7 +199,7 @@ func (p *passCtx) addEdge(e edgeOp) { p.eff.edges = append(p.eff.edges, e) }
 // addDirect logs the direct edge from → to on the thread's first pass only.
 func (p *passCtx) addDirect(from, to ir.VarID, g *guard.Formula) {
 	if p.first {
-		p.addEdge(edgeOp{fromVar: from, toVar: to, kind: vfg.EdgeDirect, guard: g})
+		p.addEdge(edgeOp{from: int32(from), to: int32(to), kind: vfg.EdgeDirect, guard: g})
 	}
 }
 
@@ -222,18 +225,18 @@ func (b *Builder) dataDepRound(workers int) bool {
 			b.dirty[th.ID] = false
 		}
 	}
-	passes := make([]*passCtx, len(threads))
+	logs := make([]passEffects, len(threads))
 	pstart := time.Now()
 	runIndexed(workers, len(threads), func(i int) {
-		passes[i] = b.dataDepPass(threads[i])
+		logs[i] = b.dataDepPass(threads[i])
 	})
 	b.Stats.ParallelTime += time.Since(pstart)
 	progressed := false
 	for i, th := range threads {
-		if b.applyEffects(&passes[i].eff) {
+		if b.applyEffects(&logs[i]) {
 			progressed = true
 		}
-		passes[i] = nil // the log is spent; let it go before the next one
+		logs[i] = passEffects{} // the log is spent; let it go before the next one
 		b.passed[th.ID] = true
 	}
 	return progressed
@@ -242,9 +245,9 @@ func (b *Builder) dataDepRound(workers int) bool {
 // dataDepPass runs one Alg. 1 pass over a thread: a single topological
 // sweep of the (acyclic) CFG computing the flow-sensitive address-taken
 // state, logging top-level points-to updates and direct/dd edge insertions
-// as deferred effects. Passes of different threads only read shared state,
-// so dataDepRound runs them concurrently.
-func (b *Builder) dataDepPass(th *ir.Thread) *passCtx {
+// as deferred effects, which it returns. Passes of different threads only
+// read shared state, so dataDepRound runs them concurrently.
+func (b *Builder) dataDepPass(th *ir.Thread) passEffects {
 	p := &passCtx{
 		b:       b,
 		overlay: make(map[ir.VarID]map[ir.ObjID]*guard.Formula),
@@ -283,7 +286,7 @@ func (b *Builder) dataDepPass(th *ir.Thread) *passCtx {
 		}
 		out[bi] = cur
 	}
-	return p
+	return p.eff
 }
 
 // applyEffects replays one pass's log against the shared builder state; it
@@ -303,15 +306,16 @@ func (b *Builder) applyEffects(eff *passEffects) bool {
 	g := b.G
 	for _, e := range eff.edges {
 		var from vfg.NodeID
-		if e.fromIsObj {
-			from = g.ObjNode(e.fromObj)
+		if e.isObj {
+			from = g.ObjNode(ir.ObjID(e.from))
 		} else {
-			from = g.VarNode(e.fromVar)
+			from = g.VarNode(ir.VarID(e.from))
 		}
 		if g.AddEdge(vfg.Edge{
-			From: from, To: g.VarNode(e.toVar),
+			From: from, To: g.VarNode(ir.VarID(e.to)),
 			Kind: e.kind, Guard: e.guard,
-			Store: e.store, Load: e.load, Obj: e.obj, Field: e.field,
+			Store: ir.Label(e.store), Load: ir.Label(e.load),
+			Obj: ir.ObjID(e.obj), Field: g.FieldName(int(e.field)),
 		}) {
 			progressed = true
 		}
@@ -390,7 +394,7 @@ func (p *passCtx) transfer(inst *ir.Inst, mem *memState) {
 		if p.first {
 			p.ptsAdd(inst.Def, inst.Obj, inst.Guard)
 			p.addEdge(edgeOp{
-				fromObj: inst.Obj, fromIsObj: true, toVar: inst.Def,
+				from: int32(inst.Obj), isObj: true, to: int32(inst.Def),
 				kind: vfg.EdgeObj, guard: inst.Guard,
 			})
 		}
@@ -443,6 +447,7 @@ func (p *passCtx) transfer(inst *ir.Inst, mem *memState) {
 		// stores are visited in label order: several stores feeding one load
 		// Or-join into the same points-to guard, and a fixed join order keeps
 		// the formula (and everything downstream of it) deterministic.
+		field := b.G.FieldID(inst.Field)
 		for o, β := range p.pts(inst.Ptr) {
 			reaching := mem.get(b.G.LocIndex(o, inst.Field))
 			labels := make([]ir.Label, 0, len(reaching))
@@ -459,9 +464,10 @@ func (p *passCtx) transfer(inst *ir.Inst, mem *memState) {
 					continue
 				}
 				p.addEdge(edgeOp{
-					fromVar: storeInst.Val, toVar: inst.Def,
+					from: int32(storeInst.Val), to: int32(inst.Def),
 					kind: vfg.EdgeDD, guard: eg,
-					store: storeLabel, load: inst.Label, obj: o, field: inst.Field,
+					store: int32(storeLabel), load: int32(inst.Label),
+					obj: int32(o), field: int32(field),
 				})
 				for o2, γ2 := range p.pts(storeInst.Val) {
 					p.ptsAdd(inst.Def, o2, b.cap(guard.And(γ2, eg)))

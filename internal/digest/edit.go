@@ -3,9 +3,10 @@ package digest
 // Edit-native entry points: the incremental layer's public contract is
 // "edits in, invalidated cone out". An Edit is a line-span patch against
 // the *current* revision of a source; ApplyEdits patches the text and
-// ApplyEdit additionally reports which function summaries the patch
-// invalidates (the reverse-reachable digest set), which is exactly the
-// set a warm Session re-analyzes. Spans are expressed in lines because
+// Invalidated, given the pre-edit and patched revisions' summary keys,
+// reports which function summaries the patch invalidates (the
+// reverse-reachable digest set), which is exactly the set a warm Session
+// re-analyzes. Spans are expressed in lines because
 // CanonicalSource preserves line structure, so line numbers are stable
 // across the canonicalization that all digest keys are computed over.
 
@@ -15,7 +16,6 @@ import (
 	"strings"
 
 	"canary/internal/cache"
-	"canary/internal/lang"
 )
 
 // Edit replaces the half-open line range [Start, End) of the current
@@ -116,24 +116,4 @@ func Invalidated(oldKeys, newKeys map[string]cache.Key) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// ApplyEdit patches src, parses both revisions, and returns the patched
-// source together with the invalidated reverse-reachable digest set.
-// Callers that cache the pre-edit SummaryKeys (the live session engine)
-// use ApplyEdits + Invalidated directly and skip the double parse.
-func ApplyEdit(src string, edits []Edit) (patched string, invalidated []string, err error) {
-	patched, err = ApplyEdits(src, edits)
-	if err != nil {
-		return "", nil, err
-	}
-	oldAST, err := lang.Parse(src)
-	if err != nil {
-		return "", nil, fmt.Errorf("digest: base source: %w", err)
-	}
-	newAST, err := lang.Parse(patched)
-	if err != nil {
-		return "", nil, fmt.Errorf("digest: patched source: %w", err)
-	}
-	return patched, Invalidated(SummaryKeys(oldAST), SummaryKeys(newAST)), nil
 }

@@ -67,10 +67,30 @@ func TestApplyEditsRejects(t *testing.T) {
 // An edit to one function invalidates exactly its reverse-reachable
 // cone: callers re-key because their summary folds in callee digests,
 // untouched sibling functions keep their keys.
-func TestApplyEditInvalidatesReverseCone(t *testing.T) {
-	patched, invalidated, err := ApplyEdit(editBase, []Edit{{2, 3, "  q = p;\n"}})
+// applyAndInvalidate applies an edit batch the way a live session does:
+// ApplyEdits patches the source, the patch must parse, and Invalidated
+// diffs the pre-edit summary keys against the patched revision's.
+func applyAndInvalidate(t *testing.T, src string, edits []Edit) (patched string, invalidated []string, err error) {
+	t.Helper()
+	patched, err = ApplyEdits(src, edits)
 	if err != nil {
-		t.Fatalf("ApplyEdit: %v", err)
+		return "", nil, err
+	}
+	old, err := lang.Parse(src)
+	if err != nil {
+		t.Fatalf("base source: %v", err)
+	}
+	now, err := lang.Parse(patched)
+	if err != nil {
+		return "", nil, err
+	}
+	return patched, Invalidated(SummaryKeys(old), SummaryKeys(now)), nil
+}
+
+func TestApplyEditInvalidatesReverseCone(t *testing.T) {
+	patched, invalidated, err := applyAndInvalidate(t, editBase, []Edit{{2, 3, "  q = p;\n"}})
+	if err != nil {
+		t.Fatalf("applyAndInvalidate: %v", err)
 	}
 	if !strings.Contains(patched, "q = p;") || strings.Contains(patched, "q = *p;") {
 		t.Fatalf("patch not applied:\n%s", patched)
@@ -88,9 +108,9 @@ func TestApplyEditInvalidatesReverseCone(t *testing.T) {
 
 // Comment and whitespace edits change no digest at all.
 func TestApplyEditTrivialChangesNothing(t *testing.T) {
-	patched, invalidated, err := ApplyEdit(editBase, []Edit{{1, 1, "// a header comment\n"}})
+	patched, invalidated, err := applyAndInvalidate(t, editBase, []Edit{{1, 1, "// a header comment\n"}})
 	if err != nil {
-		t.Fatalf("ApplyEdit: %v", err)
+		t.Fatalf("applyAndInvalidate: %v", err)
 	}
 	if len(invalidated) != 0 {
 		t.Fatalf("comment edit invalidated %v", invalidated)
@@ -106,9 +126,9 @@ func TestApplyEditTrivialChangesNothing(t *testing.T) {
 // A brand-new function shows up as invalidated (it has no old key) and
 // existing functions that do not call it are untouched.
 func TestApplyEditNewFunction(t *testing.T) {
-	_, invalidated, err := ApplyEdit(editBase, []Edit{{13, 13, "func extra(v) {\n  w = v;\n}\n"}})
+	_, invalidated, err := applyAndInvalidate(t, editBase, []Edit{{13, 13, "func extra(v) {\n  w = v;\n}\n"}})
 	if err != nil {
-		t.Fatalf("ApplyEdit: %v", err)
+		t.Fatalf("applyAndInvalidate: %v", err)
 	}
 	if len(invalidated) != 1 || invalidated[0] != "extra" {
 		t.Fatalf("invalidated = %v, want [extra]", invalidated)
@@ -116,7 +136,7 @@ func TestApplyEditNewFunction(t *testing.T) {
 }
 
 func TestApplyEditRejectsUnparsablePatch(t *testing.T) {
-	if _, _, err := ApplyEdit(editBase, []Edit{{1, 2, "func helper(p {\n"}}); err == nil {
+	if _, _, err := applyAndInvalidate(t, editBase, []Edit{{1, 2, "func helper(p {\n"}}); err == nil {
 		t.Fatal("expected parse rejection of broken patch")
 	}
 }

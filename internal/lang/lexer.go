@@ -84,13 +84,15 @@ func (lx *Lexer) Next() (Token, error) {
 		}
 		return Token{Kind: TokNumber, Text: lx.src[start:lx.off], Pos: pos}, nil
 	}
+	start := lx.off
 	lx.advance()
+	// Operator text is a slice of the source, so lexing allocates nothing.
 	two := func(next byte, withKind, aloneKind TokKind) (Token, error) {
 		if lx.peekByte() == next {
 			lx.advance()
-			return Token{Kind: withKind, Text: string(c) + string(next), Pos: pos}, nil
+			return Token{Kind: withKind, Text: lx.src[start:lx.off], Pos: pos}, nil
 		}
-		return Token{Kind: aloneKind, Text: string(c), Pos: pos}, nil
+		return Token{Kind: aloneKind, Text: lx.src[start:lx.off], Pos: pos}, nil
 	}
 	switch c {
 	case '=':
@@ -131,20 +133,4 @@ func (lx *Lexer) Next() (Token, error) {
 		return Token{Kind: TokDot, Text: ".", Pos: pos}, nil
 	}
 	return Token{}, fmt.Errorf("%s: unexpected character %q", pos, string(c))
-}
-
-// Tokenize lexes all of src.
-func Tokenize(src string) ([]Token, error) {
-	lx := NewLexer(src)
-	var out []Token
-	for {
-		t, err := lx.Next()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-		if t.Kind == TokEOF {
-			return out, nil
-		}
-	}
 }

@@ -8,12 +8,22 @@ import (
 // Parse parses a complete program. The parse-stage fault-injection site
 // fires in the pipeline runner's entry wrapper, not here, so Parse stays
 // a pure function of its input.
+//
+// Tokens are pulled from the lexer one at a time as the parser consumes
+// them, so the first error in source order wins: a parse error before a
+// bad character is reported as the parse error, and a bad character
+// before any parse error is reported as the lex error.
 func Parse(src string) (*Program, error) {
-	toks, err := Tokenize(src)
-	if err != nil {
-		return nil, err
+	p := &parser{lx: NewLexer(src)}
+	p.next()
+	prog, err := p.parseProgram()
+	if p.lexErr != nil {
+		return nil, p.lexErr
 	}
-	p := &parser{toks: toks}
+	return prog, err
+}
+
+func (p *parser) parseProgram() (*Program, error) {
 	prog := &Program{}
 	for !p.at(TokEOF) {
 		switch {
@@ -43,19 +53,32 @@ func Parse(src string) (*Program, error) {
 	return prog, nil
 }
 
+// parser is an LL(1) recursive-descent parser: tok is its one token of
+// lookahead, pulled from the lexer by next. A lex error is recorded in
+// lexErr and ends the token stream (tok becomes EOF), so the parse stops
+// at the next token it needs and Parse reports the lex error.
 type parser struct {
-	toks []Token
-	pos  int
+	lx     *Lexer
+	tok    Token
+	lexErr error
 }
 
-func (p *parser) cur() Token        { return p.toks[p.pos] }
-func (p *parser) at(k TokKind) bool { return p.cur().Kind == k }
+func (p *parser) cur() Token        { return p.tok }
+func (p *parser) at(k TokKind) bool { return p.tok.Kind == k }
 
+// next consumes and returns the current token. At end of input, and
+// after a lex error, it returns EOF forever.
 func (p *parser) next() Token {
-	t := p.toks[p.pos]
-	if t.Kind != TokEOF {
-		p.pos++
+	t := p.tok
+	if p.lexErr != nil {
+		return t
 	}
+	nt, err := p.lx.Next()
+	if err != nil {
+		p.lexErr = err
+		nt = Token{Kind: TokEOF, Pos: Pos{Line: p.lx.line, Col: p.lx.col}}
+	}
+	p.tok = nt
 	return t
 }
 

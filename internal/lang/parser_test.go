@@ -26,8 +26,24 @@ func thread1(y) {
 }
 `
 
+// lexAll pulls tokens from a Lexer up to and including EOF.
+func lexAll(src string) ([]Token, error) {
+	lx := NewLexer(src)
+	var out []Token
+	for {
+		t, err := lx.Next()
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, t)
+		if t.Kind == TokEOF {
+			return out, nil
+		}
+	}
+}
+
 func TestTokenizeBasics(t *testing.T) {
-	toks, err := Tokenize("func f(x) { y = *x; }")
+	toks, err := lexAll("func f(x) { y = *x; }")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +61,7 @@ func TestTokenizeBasics(t *testing.T) {
 }
 
 func TestTokenizeOperators(t *testing.T) {
-	toks, err := Tokenize("== != <= >= && || < > ! = & * + -")
+	toks, err := lexAll("== != <= >= && || < > ! = & * + -")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +75,7 @@ func TestTokenizeOperators(t *testing.T) {
 }
 
 func TestTokenizeComments(t *testing.T) {
-	toks, err := Tokenize("x // trailing comment\ny")
+	toks, err := lexAll("x // trailing comment\ny")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,8 +88,47 @@ func TestTokenizeComments(t *testing.T) {
 }
 
 func TestTokenizeBadChar(t *testing.T) {
-	if _, err := Tokenize("x = $;"); err == nil {
+	if _, err := lexAll("x = $;"); err == nil {
 		t.Fatal("expected error for '$'")
+	}
+}
+
+// TestTokenizeOperatorText pins the text of every operator token: the
+// lexer slices it out of the source rather than building it.
+func TestTokenizeOperatorText(t *testing.T) {
+	const src = "== != <= >= && || < > ! = & * + - ( ) { } , ; ."
+	toks, err := lexAll(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Fields(src)
+	if len(toks) != len(want)+1 {
+		t.Fatalf("got %d tokens, want %d", len(toks), len(want)+1)
+	}
+	for i, w := range want {
+		if toks[i].Text != w || toks[i].Kind.String() != w {
+			t.Errorf("token %d: got %s %q, want %q", i, toks[i].Kind, toks[i].Text, w)
+		}
+	}
+}
+
+// TestParseErrorOrder pins which error wins when a source holds both a
+// parse error and a bad character: the parser pulls tokens as it goes,
+// so whichever comes first in the source is reported.
+func TestParseErrorOrder(t *testing.T) {
+	for _, tc := range []struct {
+		name, src, want string
+	}{
+		{"parse error first", "func f() { x = ; }\n$", "1:16: unexpected ;"},
+		{"bad character first", "func f() { x = $; }\nfunc", "1:16: unexpected character"},
+		{"bad character at top level", "global g;\n$", "2:1: unexpected character"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Parse(tc.src)
+			if err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+				t.Fatalf("Parse error = %v, want prefix %q", err, tc.want)
+			}
+		})
 	}
 }
 

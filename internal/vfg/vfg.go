@@ -10,6 +10,7 @@ package vfg
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"canary/internal/guard"
@@ -88,13 +89,15 @@ type Edge struct {
 	Field string
 }
 
+// edgeKey is the dedup identity of an edge. There is about one edge per
+// instruction, so the key is packed: int32 ids (New rejects programs whose
+// ids overflow them) and the dense field id in place of the field name.
 type edgeKey struct {
-	from, to NodeID
-	kind     EdgeKind
-	store    ir.Label
-	load     ir.Label
-	obj      ir.ObjID
-	field    string
+	from, to    int32 // NodeID
+	store, load int32 // ir.Label
+	obj         int32 // ir.ObjID
+	field       int32 // FieldID
+	kind        EdgeKind
 }
 
 // Graph is a guarded value-flow graph over one lowered program.
@@ -107,7 +110,7 @@ type Graph struct {
 	edges   []Edge
 	out     [][]EdgeID
 	in      [][]EdgeID
-	edgeIdx map[edgeKey]EdgeID
+	edgeIdx map[edgeKey]int32 // EdgeID
 
 	// objStores maps each location (object, field) to the stores that may
 	// define it — the superset from which the S(l) sets of Eq. 2 and the
@@ -140,8 +143,11 @@ type StoreRef struct {
 	Guard *guard.Formula
 }
 
-// New returns an empty graph over prog.
+// New returns an empty graph over prog. It panics if prog has more labels,
+// variables or objects than an int32 id can number: the edge index and the
+// builder's effect logs store ids as int32.
 func New(prog *ir.Program) *Graph {
+	checkIDRange(prog.NumInsts(), len(prog.Vars), len(prog.Objects))
 	// Every node is a variable or an object, so their counts bound the
 	// node slices; the edge count runs at 1.03–1.08 per instruction.
 	maxNodes, estEdges := len(prog.Vars)+len(prog.Objects), prog.NumInsts()*9/8
@@ -153,7 +159,7 @@ func New(prog *ir.Program) *Graph {
 		edges:   make([]Edge, 0, estEdges),
 		out:     make([][]EdgeID, 0, maxNodes),
 		in:      make([][]EdgeID, 0, maxNodes),
-		edgeIdx: make(map[edgeKey]EdgeID, estEdges),
+		edgeIdx: make(map[edgeKey]int32, estEdges),
 		fieldID: map[string]int{"": 0},
 	}
 	for _, inst := range prog.Insts() {
@@ -173,6 +179,24 @@ func New(prog *ir.Program) *Graph {
 	return g
 }
 
+// checkIDRange panics unless every label, variable, object and node id of
+// a program with the given counts fits an int32.
+func checkIDRange(labels, vars, objs int) {
+	for _, c := range []struct {
+		what string
+		n    int
+	}{
+		{"labels", labels},
+		{"variables", vars},
+		{"objects", objs},
+		{"nodes (variables plus objects)", vars + objs},
+	} {
+		if c.n >= math.MaxInt32 {
+			panic(fmt.Sprintf("vfg: program has %d %s; the graph's int32 ids number at most %d", c.n, c.what, math.MaxInt32-1))
+		}
+	}
+}
+
 // FieldID returns the dense id of a field name. Every field occurring in
 // the program (plus "", the whole cell) is interned at construction.
 func (g *Graph) FieldID(field string) int {
@@ -182,6 +206,9 @@ func (g *Graph) FieldID(field string) int {
 	}
 	return id
 }
+
+// FieldName is the inverse of FieldID.
+func (g *Graph) FieldName(id int) string { return g.fieldNames[id] }
 
 // NumFields returns the number of interned fields (including "").
 func (g *Graph) NumFields() int { return len(g.fieldNames) }
@@ -269,7 +296,10 @@ func (g *Graph) NumEdges() int { return len(g.edges) }
 // edge is new. Duplicate edges (same endpoints, kind and indirect
 // bookkeeping) have their guards joined with ∨.
 func (g *Graph) AddEdge(e Edge) bool {
-	key := edgeKey{from: e.From, to: e.To, kind: e.Kind, store: e.Store, load: e.Load, obj: e.Obj, field: e.Field}
+	key := edgeKey{
+		from: int32(e.From), to: int32(e.To), kind: e.Kind,
+		store: int32(e.Store), load: int32(e.Load), obj: int32(e.Obj), field: int32(g.FieldID(e.Field)),
+	}
 	if id, ok := g.edgeIdx[key]; ok {
 		old := &g.edges[id]
 		old.Guard = guard.Or(old.Guard, e.Guard)
@@ -277,7 +307,7 @@ func (g *Graph) AddEdge(e Edge) bool {
 	}
 	e.ID = EdgeID(len(g.edges))
 	g.edges = append(g.edges, e)
-	g.edgeIdx[key] = e.ID
+	g.edgeIdx[key] = int32(e.ID)
 	g.out[e.From-1] = append(g.out[e.From-1], e.ID)
 	g.in[e.To-1] = append(g.in[e.To-1], e.ID)
 	return true

@@ -1,7 +1,10 @@
 package vfg
 
 import (
+	"math"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"canary/internal/guard"
 	"canary/internal/ir"
@@ -156,5 +159,60 @@ func TestEdgeCountByKindAndStrings(t *testing.T) {
 		if k.String() == "" {
 			t.Error("empty kind rendering")
 		}
+	}
+}
+
+// TestEdgeKeySize pins the packed edge-dedup key: the index holds about
+// one key per instruction, pre-sized at construction.
+func TestEdgeKeySize(t *testing.T) {
+	if n := unsafe.Sizeof(edgeKey{}); n > 32 {
+		t.Fatalf("edgeKey is %d bytes, want <= 32", n)
+	}
+}
+
+// TestFieldNameInvertsFieldID checks FieldName against FieldID for every
+// interned field, including "" (the whole cell, id 0).
+func TestFieldNameInvertsFieldID(t *testing.T) {
+	ast, err := lang.Parse("func main() { p = malloc(); p.next = p; q = p.val; print(*q); }")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := ir.Lower(ast, ir.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := New(prog)
+	if g.NumFields() != 3 || g.FieldID("") != 0 {
+		t.Fatalf("fields: %d interned, FieldID(\"\") = %d; want 3 and 0", g.NumFields(), g.FieldID(""))
+	}
+	for _, f := range []string{"", "next", "val"} {
+		if got := g.FieldName(g.FieldID(f)); got != f {
+			t.Errorf("FieldName(FieldID(%q)) = %q", f, got)
+		}
+	}
+}
+
+// TestNewRejectsIDOverflow checks the int32 id bound New enforces, on the
+// counts alone (a program that large cannot be built in a test).
+func TestNewRejectsIDOverflow(t *testing.T) {
+	checkIDRange(1000, 1000, 1000) // in range: no panic
+	for _, tc := range []struct {
+		name               string
+		labels, vars, objs int
+	}{
+		{"labels", math.MaxInt32, 1, 1},
+		{"variables", 1, math.MaxInt32, 1},
+		{"objects", 1, 1, math.MaxInt32},
+		{"nodes", 1, math.MaxInt32 / 2, math.MaxInt32/2 + 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				r := recover()
+				if msg, _ := r.(string); !strings.Contains(msg, "int32 ids") {
+					t.Fatalf("recovered %v, want an int32 id overflow panic", r)
+				}
+			}()
+			checkIDRange(tc.labels, tc.vars, tc.objs)
+		})
 	}
 }

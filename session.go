@@ -411,6 +411,10 @@ func (s *Session) newAnalysis(ctx context.Context, src string, opt Options, in a
 	}); err != nil {
 		return nil, classifyStageErr(s, src, err)
 	}
+	// Nothing past lowering reads the AST. The stage closures capture it,
+	// so drop it here rather than keep it live through the VFG build,
+	// the peak of the analysis's heap.
+	ast, in.ast = nil, nil
 
 	// The VFG build interleaves the MHP, Alg. 1 data-dependence, and
 	// Alg. 2 interference passes inside one fixpoint; the builder times
